@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <ostream>
 #include <sstream>
 
@@ -11,7 +10,6 @@
 #include "fuzz/generator.h"
 #include "fuzz/reducer.h"
 #include "printer/printer.h"
-#include "sim/disk_cache.h"
 #include "sim/program_cache.h"
 #include "support/json.h"
 #include "telemetry/telemetry.h"
@@ -147,13 +145,8 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& log) {
   std::vector<SeedOutcome> outcomes;
   const size_t jobs =
       opts.jobs == 0 ? batch::ThreadPool::default_workers() : opts.jobs;
-  std::unique_ptr<DiskProgramCache> disk;
-  if (!opts.cache_dir.empty()) {
-    disk = std::make_unique<DiskProgramCache>(opts.cache_dir);
-  }
   if (jobs <= 1) {
     ProgramCache programs;
-    programs.set_disk(disk.get());
     outcomes.reserve(opts.seeds);
     for (size_t i = 0; i < opts.seeds; ++i) {
       outcomes.push_back(
@@ -161,7 +154,6 @@ FuzzReport run_fuzz(const FuzzOptions& opts, std::ostream& log) {
     }
   } else {
     batch::ThreadPool pool(jobs);
-    pool.set_disk_cache(disk.get());
     outcomes = batch::run_batch<SeedOutcome>(
         pool, opts.seeds, [&](size_t job, batch::WorkerContext& ctx) {
           return eval_seed(opts, job, ctx.programs,

@@ -38,8 +38,6 @@ struct FuzzOptions {
   /// Execution tier for the equivalence oracle's simulations (`--exec-tier`;
   /// interp-diff always cross-checks every tier). Unset = process default.
   std::optional<ExecTier> exec_tier;
-  /// On-disk L2 program cache directory (`--cache-dir`); empty = no L2.
-  std::string cache_dir;
   /// Schedules per side for the schedule-inclusion oracle
   /// (`--explore-schedules[=N]`; 0 disables).
   size_t explore_schedules = 4;

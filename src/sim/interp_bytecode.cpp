@@ -571,7 +571,8 @@ specsyn_bc_dispatch:
     const BInstr& i = code[pc];
     const BWaitOp* wop = bprog_->wait_ops().data() + i.slot;
     // Postfix eval over compare leaves and And/Or combiners; depth <= count
-    // (<= 255) by the deserialize-time stack-discipline check.
+    // (<= 255), and every combiner finds two operands: collect_wait_expr
+    // only fuses well-formed programs of at most 255 ops at compile time.
     uint64_t st[256];
     uint32_t sp = 0;
     for (uint8_t k = 0; k < i.b; ++k) {
