@@ -10,6 +10,7 @@
 #include "batch/thread_pool.h"
 #include "sim/program_cache.h"
 #include "sim/sched.h"
+#include "support/diagnostics.h"
 #include "telemetry/telemetry.h"
 
 namespace specsyn::analysis::schedules {
@@ -47,22 +48,28 @@ bool is_racing(const std::set<std::pair<std::string, std::string>>& pairs,
   return a <= b ? pairs.count({a, b}) != 0 : pairs.count({b, a}) != 0;
 }
 
-/// One exploration run: replay `picks` (canonical beyond the end), record
-/// every decision. Returns the full taken trace + decisions + outcome.
+/// One schedule of `spec`: replay `picks` (canonical beyond the end) and
+/// record every decision.
+SimResult run_schedule(const Specification& spec, SimConfig cfg,
+                       std::vector<uint32_t> picks, ProgramCache* programs) {
+  cfg.sched_policy = SchedPolicy::Replay;
+  cfg.sched_picks = std::move(picks);
+  cfg.record_schedule = true;
+  Simulator sim(spec, cfg, programs);
+  return sim.run();
+}
+
+/// One exploration run: the full taken trace + decisions + outcome.
 struct RunResult {
   std::vector<uint32_t> taken;
   std::vector<SchedDecision> decisions;
   Outcome outcome;
 };
 
-RunResult run_one(const Specification& spec, SimConfig cfg,
+RunResult run_one(const Specification& spec, const SimConfig& cfg,
                   std::vector<uint32_t> picks, ProgramCache* programs,
                   const std::string& root_behavior) {
-  cfg.sched_policy = SchedPolicy::Replay;
-  cfg.sched_picks = std::move(picks);
-  cfg.record_schedule = true;
-  Simulator sim(spec, cfg, programs);
-  SimResult r = sim.run();
+  SimResult r = run_schedule(spec, cfg, std::move(picks), programs);
   RunResult out;
   out.taken.reserve(r.sched_decisions.size());
   for (const SchedDecision& d : r.sched_decisions) out.taken.push_back(d.pick);
@@ -178,6 +185,13 @@ std::string Outcome::digest() const {
 
 ExploreResult explore(const Specification& spec, const Context& ctx,
                       const ExploreOptions& opts) {
+  return explore_from(spec, ctx, opts,
+                      run_schedule(spec, opts.config, {}, nullptr));
+}
+
+ExploreResult explore_from(const Specification& spec, const Context& ctx,
+                           const ExploreOptions& opts,
+                           const SimResult& baseline) {
   telemetry::Span span("explore", telemetry::Stability::Stable);
   const auto races = racing_pairs(ctx);
 
@@ -193,9 +207,11 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
   std::deque<std::vector<uint32_t>> frontier;
   std::set<std::string> seen;
 
-  auto expand = [&](const RunResult& run, size_t from_decision) {
-    for (size_t d = from_decision; d < run.decisions.size(); ++d) {
-      const SchedDecision& dec = run.decisions[d];
+  auto expand = [&](const std::vector<uint32_t>& taken,
+                    const std::vector<SchedDecision>& decisions,
+                    size_t from_decision) {
+    for (size_t d = from_decision; d < decisions.size(); ++d) {
+      const SchedDecision& dec = decisions[d];
       const size_t k = dec.ready.size();
       for (uint32_t alt = 0; alt < k; ++alt) {
         if (alt == dec.pick) continue;
@@ -213,8 +229,7 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
           ++result.pruned;
           continue;
         }
-        std::vector<uint32_t> prefix(run.taken.begin(),
-                                     run.taken.begin() + d);
+        std::vector<uint32_t> prefix(taken.begin(), taken.begin() + d);
         prefix.push_back(alt);
         if (seen.insert(prefix_key(prefix)).second) {
           frontier.push_back(std::move(prefix));
@@ -223,13 +238,20 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
     }
   };
 
-  // Baseline: canonical schedule (empty pick trace).
+  // Baseline: the canonical schedule (empty pick trace) takes pick 0 at
+  // every decision point.
+  for (const SchedDecision& d : baseline.sched_decisions) {
+    if (d.pick != 0) {
+      throw SpecError("schedule exploration: the baseline run is not the "
+                      "canonical schedule");
+    }
+  }
   seen.insert(prefix_key({}));
-  RunResult baseline =
-      run_one(spec, opts.config, {}, nullptr, opts.root_behavior);
-  expand(baseline, 0);  // before the moves below — expand slices run.taken
-  result.schedules.push_back(
-      {std::move(baseline.taken), std::move(baseline.outcome), false});
+  std::vector<uint32_t> base_taken(baseline.sched_decisions.size(), 0);
+  expand(base_taken, baseline.sched_decisions, 0);
+  result.schedules.push_back({std::move(base_taken),
+                              outcome_of(baseline, opts.root_behavior),
+                              false});
 
   // By value: the loop below grows result.schedules, and a reallocation
   // would dangle a reference into it.
@@ -263,7 +285,7 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
     for (size_t i = 0; i < runs.size(); ++i) {
       RunResult& run = runs[i];
       const bool divergent = !(run.outcome == base_outcome);
-      expand(run, prefixes[i].size());
+      expand(run.taken, run.decisions, prefixes[i].size());
       if (divergent) {
         ++result.divergent;
         if (result.witness.empty()) {
@@ -295,15 +317,25 @@ ExploreResult explore(const Specification& spec, const Context& ctx,
 InclusionResult check_inclusion(const Specification& original,
                                 const Specification& refined,
                                 const ExploreOptions& opts) {
-  const Context octx(original);
+  const ExploreResult orig = explore(original, Context(original), opts);
+  return check_inclusion(original, orig, refined,
+                         run_schedule(refined, opts.config, {}, nullptr),
+                         opts);
+}
+
+InclusionResult check_inclusion(const Specification& original,
+                                const ExploreResult& orig,
+                                const Specification& refined,
+                                const SimResult& refined_baseline,
+                                const ExploreOptions& opts) {
   const Context rctx(refined);
   // The refined top is a Concurrent composite whose server behaviors never
   // complete; liveness there means the original top behavior finished
   // inside it (outcome_of's fallback, as in sim/equivalence).
   ExploreOptions ropts = opts;
   if (original.top != nullptr) ropts.root_behavior = original.top->name;
-  ExploreResult orig = explore(original, octx, opts);
-  ExploreResult refd = explore(refined, rctx, ropts);
+  const ExploreResult refd =
+      explore_from(refined, rctx, ropts, refined_baseline);
 
   InclusionResult result;
   result.original_explored = orig.explored;

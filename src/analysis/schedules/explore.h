@@ -124,9 +124,20 @@ struct ExploreResult {
 
 /// Explores up to max_schedules interleavings of `spec`. `ctx` supplies the
 /// static concurrency relation driving the pruning rule; it must have been
-/// built from the same specification.
+/// built from the same specification. Records the baseline run, then
+/// explore_from.
 ExploreResult explore(const Specification& spec, const Context& ctx,
                       const ExploreOptions& opts);
+
+/// explore() from an already-simulated baseline: `baseline` must be a run of
+/// `spec` under `opts.config` on the canonical schedule with
+/// `record_schedule` set. SchedPolicy::Fifo and a Replay with no picks take
+/// the same picks, so a caller that simulates `spec` anyway (the sweep's
+/// measured run) records it and saves the explorer one run. Throws SpecError
+/// when a recorded pick is not canonical.
+ExploreResult explore_from(const Specification& spec, const Context& ctx,
+                           const ExploreOptions& opts,
+                           const SimResult& baseline);
 
 /// Partition-consistency check (the schedule-inclusion fuzz oracle): every
 /// outcome `refined` exhibits over the explored schedules, projected onto
@@ -145,8 +156,20 @@ struct InclusionResult {
   uint64_t refined_explored = 0;
 };
 
+/// Explores both sides, then runs the check below.
 InclusionResult check_inclusion(const Specification& original,
                                 const Specification& refined,
+                                const ExploreOptions& opts);
+
+/// The check over an already-explored original: `orig` is
+/// explore(original, ...) under `opts`, and `refined_baseline` the canonical
+/// recorded run of `refined` that explore_from starts from; only the refined
+/// side is explored here. A sweep explores its one original once and hands
+/// every point its own measured run.
+InclusionResult check_inclusion(const Specification& original,
+                                const ExploreResult& orig,
+                                const Specification& refined,
+                                const SimResult& refined_baseline,
                                 const ExploreOptions& opts);
 
 }  // namespace schedules

@@ -8,6 +8,7 @@
 #include <tuple>
 #include <utility>
 
+#include "analysis/context.h"
 #include "analysis/schedules/explore.h"
 #include "analysis/verifier.h"
 #include "estimate/cost.h"
@@ -33,14 +34,64 @@ void appendf(std::string& out, const char* fmt, ...) {
   out += buf;
 }
 
+SimConfig sim_config(const SweepOptions& opts) {
+  SimConfig sc;
+  sc.exec_tier = opts.exec_tier;
+  if (opts.max_cycles != 0) sc.max_cycles = opts.max_cycles;
+  sc.clock_hz = opts.clock_hz;
+  return sc;
+}
+
+analysis::schedules::ExploreOptions explore_options(const SweepOptions& opts) {
+  analysis::schedules::ExploreOptions xo;
+  xo.max_schedules = opts.explore_schedules;
+  xo.config = sim_config(opts);
+  return xo;
+}
+
+/// The original spec's side of verification. It is the same at every point,
+/// so run_sweep simulates it (recording the schedule when exploring) and
+/// explores it once; every job reads it as shared const data.
+struct OriginalSide {
+  SimResult run;
+  analysis::schedules::ExploreResult explored;
+  /// SpecError text of a failed simulation / exploration. Each verified
+  /// point reports it where its own check of the original would have.
+  std::string run_error;
+  std::string explore_error;
+};
+
+OriginalSide simulate_original(const Specification& spec,
+                               const SweepOptions& opts) {
+  OriginalSide side;
+  SimConfig sc = sim_config(opts);
+  sc.record_schedule = opts.explore_schedules > 0;
+  try {
+    side.run = Simulator(spec, sc).run();
+  } catch (const SpecError& e) {
+    side.run_error = e.what();
+    return side;
+  }
+  if (opts.explore_schedules > 0) {
+    try {
+      side.explored = analysis::schedules::explore_from(
+          spec, analysis::Context(spec), explore_options(opts), side.run);
+    } catch (const SpecError& e) {
+      side.explore_error = e.what();
+    }
+  }
+  return side;
+}
+
 /// Refine + verify + price + simulate one matrix point. Everything this
 /// reads is shared const; everything it writes lives in the returned row or
 /// in worker-owned state (ctx.programs) — the determinism contract of
 /// ThreadPool jobs.
 SweepRow eval_point(const Specification& spec, const Partition& part,
                     const AccessGraph& graph, const ProfileResult& prof,
-                    const SweepOptions& opts, const SweepPoint& point,
-                    size_t index, WorkerContext& ctx) {
+                    const SweepOptions& opts, const OriginalSide& original,
+                    const SweepPoint& point, size_t index,
+                    WorkerContext& ctx) {
   SweepRow row;
   row.point = point;
   row.matrix_index = index;
@@ -64,11 +115,11 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     row.sa_errors = rep.count(Severity::Error);
     row.sa_warnings = rep.count(Severity::Warning);
 
-    SimConfig sc;
-    sc.exec_tier = opts.exec_tier;
-    if (opts.max_cycles != 0) sc.max_cycles = opts.max_cycles;
-    sc.clock_hz = opts.clock_hz;
-
+    // The measured run is the only simulation of the refined spec: it also
+    // feeds the equivalence check and, recorded, is the canonical baseline
+    // of the refined schedule exploration (Fifo takes the explorer's picks).
+    SimConfig sc = sim_config(opts);
+    sc.record_schedule = opts.verify && opts.explore_schedules > 0;
     Simulator sim(r.refined, sc, ctx.programs);
     std::unique_ptr<BusTracer> tracer;
     if (sc.exec_tier != ExecTier::Tree) {  // slot tracing needs a compiled tier
@@ -98,24 +149,25 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     }
 
     if (opts.verify) {
+      if (!original.run_error.empty()) throw SpecError(original.run_error);
       EquivalenceOptions eo;
-      eo.config = sc;
       // Byte-serial transfers split wide writes into beats, so observable
       // write traces legitimately differ (same policy as `refine --verify`
       // and the fuzz oracles).
       eo.compare_write_traces =
           point.config.protocol == ProtocolStyle::FullHandshake;
-      eo.programs = ctx.programs;  // the refined spec re-lowers as a hit
       row.verified = true;
-      row.equivalent = check_equivalence(spec, r.refined, eo).equivalent;
+      row.equivalent = compare_runs(spec, original.run, res, eo).equivalent;
 
       if (opts.explore_schedules > 0) {
-        analysis::schedules::ExploreOptions xo;
-        xo.max_schedules = opts.explore_schedules;
-        xo.config = sc;
+        if (!original.explore_error.empty()) {
+          throw SpecError(original.explore_error);
+        }
+        analysis::schedules::ExploreOptions xo = explore_options(opts);
         xo.compare_write_traces = eo.compare_write_traces;
         const analysis::schedules::InclusionResult inc =
-            analysis::schedules::check_inclusion(spec, r.refined, xo);
+            analysis::schedules::check_inclusion(spec, original.explored,
+                                                 r.refined, res, xo);
         row.sched_checked = true;
         row.sched_consistent = inc.holds;
         row.sched_explored = inc.refined_explored;
@@ -180,9 +232,12 @@ SweepReport run_sweep(const Specification& spec, const Partition& part,
                       const SweepOptions& opts, ThreadPool& pool) {
   SweepReport report;
   report.verify = opts.verify;
+  const OriginalSide original =
+      opts.verify ? simulate_original(spec, opts) : OriginalSide{};
   report.rows = run_batch<SweepRow>(
       pool, matrix.size(), [&](size_t job, WorkerContext& ctx) {
-        return eval_point(spec, part, graph, prof, opts, matrix[job], job, ctx);
+        return eval_point(spec, part, graph, prof, opts, original, matrix[job],
+                          job, ctx);
       });
   // Rank best-first. Every key is deterministic per-row data and the matrix
   // index breaks all remaining ties, so the order (and hence table()/json())

@@ -4,8 +4,9 @@
 // This is the paper's Section 5 experiment as a reusable engine: every
 // configuration is refined, statically verified, priced (estimate/cost),
 // simulated with a BusTracer, and optionally checked for functional
-// equivalence — each point an independent job on the pool, each worker with
-// its own ProgramCache. The ranked table/JSON is bit-identical for any
+// equivalence and schedule inclusion against one run of the original shared
+// by all points — each point an independent job on the pool, each worker
+// with its own ProgramCache. The ranked table/JSON is bit-identical for any
 // worker count: jobs write only their own row, and ranking is a pure sort
 // over deterministic per-row data (matrix index breaks all ties).
 //
@@ -43,12 +44,17 @@ struct SweepOptions {
   double clock_hz = 100e6;
   uint64_t max_cycles = 0;  ///< 0 => SimConfig default
   ExecTier exec_tier = default_exec_tier();
-  /// Also simulate the *original* spec per point and compare observable
-  /// behaviour (sim/equivalence). Roughly doubles the per-point work.
+  /// Also compare each point's measured run with a run of the *original*
+  /// spec (sim/equivalence). The original is simulated once per sweep, so a
+  /// point adds a comparison, not a simulation: on medical.spec --ratio
+  /// global (32 points, one worker, lowered tier) the sweep takes 0.31 s of
+  /// CPU against 0.28 s without.
   bool verify = false;
   /// With `verify`, additionally run the partition-consistency check over up
   /// to this many explored schedules per side (analysis/schedules): every
-  /// refined outcome must be one the original permits. 0 disables.
+  /// refined outcome must be one the original permits. 0 disables. The
+  /// original is explored once per sweep and each refined side starts from
+  /// the point's measured run; at 4 the sweep above takes 0.39 s of CPU.
   size_t explore_schedules = 0;
 };
 

@@ -4,6 +4,7 @@
 #include <map>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "sim/program_cache.h"
 #include "telemetry/telemetry.h"
@@ -33,27 +34,26 @@ std::string EquivalenceReport::summary() const {
 EquivalenceReport check_equivalence(const Specification& original,
                                     const Specification& refined,
                                     const EquivalenceOptions& opts) {
-  telemetry::Span tm_span("equivalence", telemetry::Stability::Stable);
-  EquivalenceReport report;
-
+  SimResult a;
+  SimResult b;
   const auto run_one = [&opts](const Specification& s) {
     Simulator sim(s, opts.config, opts.programs);
     return sim.run();
   };
   if (opts.parallel) {
     // The spawned thread simulates the original; the caller simulates the
-    // refined (usually the bigger job). Both results land in fixed fields,
+    // refined (usually the bigger job). Both results land in fixed slots,
     // so the merged report cannot depend on which finishes first.
     std::exception_ptr original_err;
     std::thread t([&] {
       try {
-        report.original_result = run_one(original);
+        a = run_one(original);
       } catch (...) {
         original_err = std::current_exception();
       }
     });
     try {
-      report.refined_result = run_one(refined);
+      b = run_one(refined);
     } catch (...) {
       t.join();
       throw;
@@ -61,12 +61,20 @@ EquivalenceReport check_equivalence(const Specification& original,
     t.join();
     if (original_err) std::rethrow_exception(original_err);
   } else {
-    report.original_result = run_one(original);
-    report.refined_result = run_one(refined);
+    a = run_one(original);
+    b = run_one(refined);
   }
+  EquivalenceReport report = compare_runs(original, a, b, opts);
+  report.original_result = std::move(a);
+  report.refined_result = std::move(b);
+  return report;
+}
 
-  const SimResult& a = report.original_result;
-  const SimResult& b = report.refined_result;
+EquivalenceReport compare_runs(const Specification& original,
+                               const SimResult& a, const SimResult& b,
+                               const EquivalenceOptions& opts) {
+  telemetry::Span tm_span("equivalence", telemetry::Stability::Stable);
+  EquivalenceReport report;
 
   if (a.status != SimResult::Status::Quiescent) {
     report.mismatches.push_back("original simulation did not quiesce");

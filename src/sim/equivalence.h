@@ -41,16 +41,28 @@ struct EquivalenceReport {
   bool equivalent = false;
   /// Human-readable mismatch descriptions (empty iff equivalent).
   std::vector<std::string> mismatches;
+  /// The two runs check_equivalence simulated (left empty by compare_runs,
+  /// whose caller already holds them).
   SimResult original_result;
   SimResult refined_result;
 
   [[nodiscard]] std::string summary() const;
 };
 
-/// Simulates both specs and compares observable behaviour. `original` and
-/// `refined` must both be valid.
+/// Simulates both specs and compares observable behaviour (compare_runs).
+/// `original` and `refined` must both be valid.
 [[nodiscard]] EquivalenceReport check_equivalence(
     const Specification& original, const Specification& refined,
     const EquivalenceOptions& opts = {});
+
+/// The comparison alone, over finished runs: `a` of `original`, `b` of its
+/// refinement, both under the same SimConfig. Only
+/// `opts.compare_write_traces` is read. A caller that already simulated the
+/// refined spec (the sweep measures it anyway) avoids a second run, and an
+/// original shared by many refinements is simulated once.
+[[nodiscard]] EquivalenceReport compare_runs(const Specification& original,
+                                             const SimResult& a,
+                                             const SimResult& b,
+                                             const EquivalenceOptions& opts);
 
 }  // namespace specsyn

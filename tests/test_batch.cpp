@@ -9,16 +9,22 @@
 #include <set>
 #include <sstream>
 
+#include "analysis/context.h"
+#include "analysis/schedules/explore.h"
 #include "batch/sweep.h"
 #include "batch/thread_pool.h"
 #include "estimate/profile.h"
 #include "fuzz/fuzzer.h"
 #include "graph/access_graph.h"
 #include "partition/partition.h"
+#include "partition/partitioner.h"
 #include "refine/refiner.h"
 #include "sim/equivalence.h"
 #include "sim/program_cache.h"
+#include "spec/mutate.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
+#include "workloads/medical.h"
 
 namespace specsyn::batch {
 namespace {
@@ -268,6 +274,114 @@ TEST(Sweep, JsonIdenticalForAnyWorkerCount) {
     if (r.point.config.inline_protocols) {
       EXPECT_EQ(r.sa_errors, 0u) << r.point.label();
     }
+  }
+}
+
+TEST(Sweep, VerifySimulatesEachSpecOnce) {
+  // Each point's measured run is also its equivalence run and its schedule
+  // baseline, and the original is simulated and explored once per sweep:
+  // 4 refined runs + 1 original. The medical models are race-free, so every
+  // exploration stops at its baseline.
+  const Specification spec = make_medical_system();
+  const AccessGraph graph = build_access_graph(spec);
+  const PartitionerResult design = make_medical_design(spec, graph, 3);
+  const ProfileResult prof = profile_spec(spec);
+  SweepOptions opts;
+  opts.verify = true;
+  opts.explore_schedules = 4;
+  ThreadPool pool(2);
+
+  telemetry::reset();
+  telemetry::enable(/*stats=*/true, /*trace=*/false);
+  const SweepReport rep = run_sweep(spec, design.partition, graph, prof,
+                                    model_axis(), opts, pool);
+  const telemetry::Snapshot snap = telemetry::snapshot();
+  telemetry::enable(false, false);
+  telemetry::reset();
+
+  ASSERT_EQ(rep.rows.size(), 4u);
+  for (const SweepRow& r : rep.rows) {
+    EXPECT_TRUE(r.refine_ok) << r.point.label() << ": " << r.error;
+    EXPECT_TRUE(r.equivalent) << r.point.label();
+    EXPECT_TRUE(r.sched_consistent) << r.point.label();
+    EXPECT_EQ(r.sched_explored, 1u) << r.point.label();
+  }
+  EXPECT_EQ(snap.counters.at("sim.runs").value, 4u + 1u);
+  EXPECT_EQ(snap.counters.at("sched.explored").value, 4u + 1u);
+  // The measured runs were recorded: their decision points reached the
+  // explorer, which pruned the branches there.
+  EXPECT_GT(snap.counters.at("sched.pruned").value, 0u);
+}
+
+// -- checks over shared runs -------------------------------------------------
+
+/// Deletes the first `<bus>_done <= 1` update of a refined spec: its
+/// protocol then never acknowledges a transfer (the fuzzer's DropDoneUpdate
+/// planted bug).
+bool drop_done_update(Specification& refined) {
+  return remove_first_matching_stmt(refined, [](const Stmt& s) {
+    return s.kind == Stmt::Kind::SignalAssign && s.target.ends_with("_done") &&
+           s.expr->kind == Expr::Kind::IntLit && s.expr->int_value == 1;
+  });
+}
+
+TEST(SharedRuns, ChecksOverPrecomputedRunsStillFail) {
+  const Specification spec = make_medical_system();
+  const AccessGraph graph = build_access_graph(spec);
+  const PartitionerResult design = make_medical_design(spec, graph, 1);
+  const RefineResult r = refine(design.partition, graph, RefineConfig{});
+  Specification broken = r.refined.clone();
+  ASSERT_TRUE(drop_done_update(broken));
+
+  // Every spec runs once, recorded, as in a verified sweep.
+  SimConfig cfg;
+  cfg.max_cycles = 1'000'000;
+  cfg.record_schedule = true;
+  const SimResult original = testing::run(spec, cfg);
+  analysis::schedules::ExploreOptions xo;
+  xo.max_schedules = 4;
+  xo.config = cfg;
+  const analysis::schedules::ExploreResult orig =
+      analysis::schedules::explore_from(spec, analysis::Context(spec), xo,
+                                        original);
+  EquivalenceOptions eo;
+  eo.config = cfg;
+
+  const SimResult clean_run = testing::run(r.refined, cfg);
+  const EquivalenceReport clean =
+      compare_runs(spec, original, clean_run, eo);
+  EXPECT_TRUE(clean.equivalent) << clean.summary();
+  const analysis::schedules::InclusionResult clean_inc =
+      analysis::schedules::check_inclusion(spec, orig, r.refined, clean_run,
+                                           xo);
+  EXPECT_TRUE(clean_inc.holds) << clean_inc.violation;
+
+  const SimResult broken_run = testing::run(broken, cfg);
+  EXPECT_FALSE(compare_runs(spec, original, broken_run, eo).equivalent);
+  const analysis::schedules::InclusionResult broken_inc =
+      analysis::schedules::check_inclusion(spec, orig, broken, broken_run, xo);
+  EXPECT_FALSE(broken_inc.holds);
+  EXPECT_FALSE(broken_inc.violation.empty());
+}
+
+TEST(SharedRuns, CompareRunsMatchesCheckEquivalence) {
+  const Specification spec = make_medical_system();
+  const AccessGraph graph = build_access_graph(spec);
+  const PartitionerResult design = make_medical_design(spec, graph, 1);
+  const RefineResult r = refine(design.partition, graph, RefineConfig{});
+  Specification broken = r.refined.clone();
+  ASSERT_TRUE(drop_done_update(broken));
+
+  EquivalenceOptions eo;
+  eo.config.max_cycles = 1'000'000;
+  const Specification* const refinements[] = {&r.refined, &broken};
+  for (const Specification* refined : refinements) {
+    const EquivalenceReport full = check_equivalence(spec, *refined, eo);
+    const EquivalenceReport cmp =
+        compare_runs(spec, full.original_result, full.refined_result, eo);
+    EXPECT_EQ(full.equivalent, refined == &r.refined) << full.summary();
+    EXPECT_EQ(cmp.equivalent, full.equivalent);
+    EXPECT_EQ(cmp.mismatches, full.mismatches);
   }
 }
 

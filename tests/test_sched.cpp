@@ -291,6 +291,41 @@ TEST(Explore, PoolAndSerialExplorationsAreIdentical) {
   }
 }
 
+TEST(Explore, FromARecordedFifoRunMatchesExplore) {
+  // A Fifo run with recording takes the canonical picks, so it can stand in
+  // for the explorer's own baseline run (the sweep reuses its measured run
+  // this way). Exhaustive mode makes the comparison cover every branch.
+  const Specification s = racy_spec();
+  const Context ctx(s);
+  ExploreOptions opts;
+  opts.prune = false;
+  opts.max_schedules = 8;
+  const ExploreResult a = analysis::schedules::explore(s, ctx, opts);
+
+  SimConfig recorded;
+  recorded.record_schedule = true;
+  const ExploreResult b = analysis::schedules::explore_from(
+      s, ctx, opts, testing::run(s, recorded));
+  EXPECT_EQ(a.explored, b.explored);
+  EXPECT_EQ(a.pruned, b.pruned);
+  EXPECT_EQ(a.divergent, b.divergent);
+  EXPECT_EQ(a.complete, b.complete);
+  EXPECT_EQ(a.witness, b.witness);
+  ASSERT_EQ(a.schedules.size(), b.schedules.size());
+  for (size_t i = 0; i < a.schedules.size(); ++i) {
+    EXPECT_EQ(a.schedules[i].picks, b.schedules[i].picks) << i;
+    EXPECT_EQ(a.schedules[i].outcome, b.schedules[i].outcome) << i;
+  }
+
+  // A baseline that did not take the canonical picks is refused.
+  SimConfig other = recorded;
+  ASSERT_TRUE(apply_witness(a.witness, &other));
+  other.record_schedule = true;
+  EXPECT_THROW(analysis::schedules::explore_from(s, ctx, opts,
+                                                 testing::run(s, other)),
+               SpecError);
+}
+
 TEST(Explore, EmitsStableTelemetryCounters) {
   telemetry::reset();
   telemetry::enable(/*stats=*/true, /*trace=*/false);
