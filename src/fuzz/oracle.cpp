@@ -2,6 +2,7 @@
 
 #include <sstream>
 
+#include "analysis/context.h"
 #include "analysis/verifier.h"
 #include "fuzz/rng.h"
 #include "graph/access_graph.h"
@@ -112,23 +113,34 @@ std::string diff_sim_results(const SimResult& a, const SimResult& b) {
   return os.str();
 }
 
-void check_interp_diff(const Specification& spec, const std::string& oracle,
-                       OracleOutcome& out, uint64_t max_cycles,
-                       ProgramCache* programs) {
-  SimConfig lowered;
-  lowered.exec_tier = ExecTier::Lowered;
-  lowered.max_cycles = max_cycles;
-  SimConfig legacy = lowered;
-  legacy.exec_tier = ExecTier::Tree;
-  SimConfig bytecode = lowered;
-  bytecode.exec_tier = ExecTier::Bytecode;
-  const SimResult a = Simulator(spec, lowered, programs).run();
-  const SimResult b = Simulator(spec, legacy).run();
-  const SimResult c = Simulator(spec, bytecode, programs).run();
+// Runs `spec` once on every tier and diffs the three runs. Returns the run
+// on `kept`, recorded, for the oracles that compare or explore it, so no
+// later oracle simulates `spec` again. The other two tiers
+// stay unrecorded: in the default configuration the bytecode tier's Fifo
+// fast path is diff-tested too.
+SimResult check_interp_diff(const Specification& spec,
+                            const std::string& oracle, OracleOutcome& out,
+                            uint64_t max_cycles, ExecTier kept) {
+  const auto run = [&](ExecTier tier) {
+    SimConfig sc;
+    sc.exec_tier = tier;
+    sc.max_cycles = max_cycles;
+    sc.record_schedule = tier == kept;
+    return Simulator(spec, sc).run();
+  };
+  SimResult a = run(ExecTier::Lowered);
+  SimResult b = run(ExecTier::Tree);
+  SimResult c = run(ExecTier::Bytecode);
   const std::string diff = diff_sim_results(a, b);
   if (!diff.empty()) add_issue(out, oracle, "lowered vs tree: " + diff);
   const std::string bdiff = diff_sim_results(c, a);
   if (!bdiff.empty()) add_issue(out, oracle, "bytecode vs lowered: " + bdiff);
+  switch (kept) {
+    case ExecTier::Tree: return b;
+    case ExecTier::Bytecode: return c;
+    case ExecTier::Lowered: break;
+  }
+  return a;
 }
 
 // -- oracle 3/8: static verifier silence -------------------------------------
@@ -224,11 +236,15 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   }
   tally("generator", out.issues.size());
 
+  // Every later comparison reuses the interp-diff runs on this tier.
+  const ExecTier kept = opts.exec_tier.value_or(default_exec_tier());
+
   size_t before = out.issues.size();
   check_roundtrip(spec, "roundtrip", out);
   tally("roundtrip", before);
   before = out.issues.size();
-  check_interp_diff(spec, "interp-diff", out, opts.max_cycles, opts.programs);
+  const SimResult orig_run = check_interp_diff(
+      spec, "interp-diff", out, opts.max_cycles, kept);
   tally("interp-diff", before);
   before = out.issues.size();
   check_analysis(spec, "analysis-original", out);
@@ -268,18 +284,14 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   check_roundtrip(refined, "roundtrip-refined", out);
   tally("roundtrip-refined", before);
   before = out.issues.size();
-  check_interp_diff(refined, "interp-diff-refined", out, opts.max_cycles,
-                    opts.programs);
+  const SimResult refined_run = check_interp_diff(
+      refined, "interp-diff-refined", out, opts.max_cycles, kept);
   tally("interp-diff-refined", before);
 
   EquivalenceOptions eo;
-  eo.config.max_cycles = opts.max_cycles;
-  if (opts.exec_tier) eo.config.exec_tier = *opts.exec_tier;
   eo.compare_write_traces = cfg.protocol == ProtocolStyle::FullHandshake;
-  eo.parallel = opts.parallel_equivalence;
-  eo.programs = opts.programs;
   before = out.issues.size();
-  const EquivalenceReport rep = check_equivalence(spec, refined, eo);
+  const EquivalenceReport rep = compare_runs(spec, orig_run, refined_run, eo);
   if (!rep.equivalent) add_issue(out, "equivalence", rep.summary());
   tally("equivalence", before);
 
@@ -290,20 +302,24 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   if (opts.explore_schedules > 0) {
     // Partition consistency (PAPERS.md): over K explored schedules per side,
     // the refined outcome set projected onto the original's variables must
-    // be included in the original's. Exploration branches only at statically
-    // racing decision points, so a clean pair costs two recorded baseline
-    // runs; a race the refiner left behind shows up as an escaping outcome
-    // with a replayable witness.
+    // be included in the original's. Both sides start from their recorded
+    // interp-diff runs, and exploration branches only at statically racing
+    // decision points, so a clean pair costs no further simulation; a race
+    // the refiner left behind shows up as an escaping outcome with a
+    // replayable witness.
     before = out.issues.size();
     try {
       analysis::schedules::ExploreOptions xo;
       xo.max_schedules = opts.explore_schedules;
       xo.config.max_cycles = opts.max_cycles;
-      if (opts.exec_tier) xo.config.exec_tier = *opts.exec_tier;
-      xo.compare_write_traces =
-          cfg.protocol == ProtocolStyle::FullHandshake;
+      xo.config.exec_tier = kept;
+      xo.compare_write_traces = eo.compare_write_traces;
+      const analysis::schedules::ExploreResult orig =
+          analysis::schedules::explore_from(spec, analysis::Context(spec), xo,
+                                            orig_run);
       const analysis::schedules::InclusionResult inc =
-          analysis::schedules::check_inclusion(spec, refined, xo);
+          analysis::schedules::check_inclusion(spec, orig, refined,
+                                               refined_run, xo);
       if (!inc.holds) {
         add_issue(out, "schedule-inclusion", inc.violation);
       }

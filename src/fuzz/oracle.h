@@ -4,13 +4,13 @@
 // Per spec x sampled refinement config the harness checks:
 //   roundtrip          print -> parse -> print is a fixpoint and the reparse
 //                      validates (original spec)
-//   interp-diff        lowered interpreter bit-identical to the legacy
-//                      tree-walker (final values, write events incl. times,
-//                      end time, step count, completion counts)
+//   interp-diff        the lowered, tree-walking and bytecode interpreters
+//                      are bit-identical (final values, write events incl.
+//                      times, end time, step count, completion counts)
 //   analysis-original  the static verifier is silent on a functional model
 //   refiner            refine() accepts the spec and produces a valid result
 //   roundtrip-refined  the refined spec round-trips through the printer
-//   interp-diff-refined  both interpreters agree on the refined spec
+//   interp-diff-refined  all three interpreters agree on the refined spec
 //   equivalence        refined behaviorally equivalent to the original
 //                      (sim/equivalence: final values + observable write
 //                      traces, main control flow completed)
@@ -21,6 +21,10 @@
 //                      exhibits across K explored interleavings, projected
 //                      onto the original's variables, must be an outcome the
 //                      original exhibits too
+//
+// Each spec is simulated once per tier. equivalence compares the two
+// interp-diff runs on the kept tier (OracleOptions::exec_tier), and
+// schedule-inclusion starts both explorations from those same runs.
 //
 // A planted-bug mode (InjectedBug) mutates the refined spec the way a broken
 // refinement procedure would, to prove the oracles and the reducer are live.
@@ -35,7 +39,6 @@
 #include "spec/specification.h"
 
 namespace specsyn {
-class ProgramCache;
 enum class ExecTier : uint8_t;
 }
 
@@ -94,21 +97,14 @@ struct OracleOptions {
   /// Simulation bound for every run the oracles perform.
   uint64_t max_cycles = 5'000'000;
   InjectedBug inject = InjectedBug::None;
-  /// Optional lowered-program cache consulted by every lowered simulation
-  /// the oracles run (interp-diff runs each spec lowered once, equivalence
-  /// again — the cache collapses the repeated compiles). Typically the batch
-  /// worker's own cache.
-  ProgramCache* programs = nullptr;
-  /// Run the two equivalence simulations concurrently. Only sensible when
-  /// the seed sweep itself is serial (`fuzz --jobs 1`); a parallel sweep
-  /// already saturates the pool.
-  bool parallel_equivalence = false;
-  /// Execution tier for the equivalence oracle's simulations (interp-diff
-  /// always runs every tier regardless). Unset = the process default tier.
+  /// The tier whose interp-diff runs are reused by equivalence and
+  /// schedule-inclusion (interp-diff always runs every tier regardless).
+  /// Unset = the process default tier.
   std::optional<ExecTier> exec_tier;
   /// Schedules per side for the schedule-inclusion oracle (0 disables it).
   /// Clean specs collapse to the baseline schedule (no racing pairs means
-  /// nothing to branch on), so the steady-state cost is two recorded runs.
+  /// nothing to branch on), and each side's baseline is its recorded
+  /// interp-diff run, so the steady-state cost is no extra run at all.
   size_t explore_schedules = 4;
 };
 

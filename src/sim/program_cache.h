@@ -1,12 +1,17 @@
 // Content-keyed LRU cache of lowered execution plans (sim/program.h).
 //
-// Batch sweeps and the differential-fuzz oracles simulate the same refined
-// specification several times (lowered-vs-legacy diff, then equivalence, then
-// a measured run), and each Simulator re-lowers the spec from scratch. The
-// cache removes the repeated compile: entries are keyed by the *canonical
-// printed form* of the specification plus the SimConfig fields, so two
-// Specification objects with identical content share one Program, and any
-// SimConfig change misses (and thereby invalidates) cleanly.
+// Each Simulator re-lowers its spec from scratch. The cache removes the
+// compile when a content-identical spec is simulated again under the same
+// SimConfig: a sweep worker meeting a refined text another point already
+// produced, or an exploration wave replaying one spec under many schedules
+// (EquivalenceOptions::programs lets check_equivalence callers opt in too).
+// The differential-fuzz oracles do not use it: they simulate each
+// (spec, tier) pair exactly once, so every lookup would miss.
+//
+// Entries are keyed by the *canonical printed form* of the specification
+// plus the SimConfig fields, so two Specification objects with identical
+// content share one Program, and any SimConfig change misses (and thereby
+// invalidates) cleanly.
 //
 // A Program holds `src` back-pointers into the Specification it was compiled
 // from, so a cached Program cannot point into the caller's spec (which may

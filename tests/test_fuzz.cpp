@@ -2,6 +2,7 @@
 // sensitivity (planted bugs must be caught), and reducer minimality.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <set>
 #include <sstream>
@@ -12,6 +13,7 @@
 #include "fuzz/reducer.h"
 #include "printer/printer.h"
 #include "spec/mutate.h"
+#include "telemetry/telemetry.h"
 #include "test_util.h"
 
 namespace specsyn::fuzz {
@@ -126,25 +128,76 @@ OracleOutcome outcome_with_bug(InjectedBug bug, uint64_t* used_seed) {
   return {};
 }
 
+// Scans seeds 1..40 for one where `bug` was planted and every oracle named
+// in `oracles` fired; returns that seed, or 0 when none did. `!ok()` alone
+// would not show which oracle caught the bug: a dropped done-update also
+// trips analysis-refined, which runs no simulation at all.
+uint64_t seed_raising(InjectedBug bug, const std::set<std::string>& oracles) {
+  for (uint64_t seed = 1; seed <= 40; ++seed) {
+    GenOptions g;
+    g.seed = seed;
+    OracleOptions opts;
+    opts.inject = bug;
+    const OracleOutcome out =
+        run_oracles(generate_spec(g), sample_config(seed), opts);
+    if (!out.injection_applied) continue;
+    std::set<std::string> fired;
+    for (const FuzzIssue& i : out.issues) fired.insert(i.oracle);
+    if (std::includes(fired.begin(), fired.end(), oracles.begin(),
+                      oracles.end())) {
+      return seed;
+    }
+  }
+  return 0;
+}
+
 TEST(FuzzOracle, DetectsDroppedDoneUpdate) {
   const OracleOutcome out = outcome_with_bug(InjectedBug::DropDoneUpdate, nullptr);
   EXPECT_FALSE(out.ok()) << "a dropped done-assert went unnoticed";
+  // The deadlocked handshake must also show in the comparison of the
+  // reused interp-diff runs.
+  EXPECT_NE(seed_raising(InjectedBug::DropDoneUpdate, {"equivalence"}), 0u)
+      << "no seed's equivalence oracle caught the dropped done-assert";
 }
 
 TEST(FuzzOracle, DetectsCorruptedDataUpdate) {
   // The first corruption site is not always on an executed path, so scan for
-  // a seed where the oracles fire rather than requiring every seed to.
-  bool caught = false;
-  for (uint64_t seed = 1; seed <= 40 && !caught; ++seed) {
-    GenOptions g;
-    g.seed = seed;
-    OracleOptions opts;
-    opts.inject = InjectedBug::CorruptDataUpdate;
-    const OracleOutcome out =
-        run_oracles(generate_spec(g), sample_config(seed), opts);
-    caught = out.injection_applied && !out.ok();
+  // a seed where the oracles fire rather than requiring every seed to. Only
+  // the two oracles over the reused runs can see a wrong value.
+  EXPECT_NE(seed_raising(InjectedBug::CorruptDataUpdate,
+                         {"equivalence", "schedule-inclusion"}),
+            0u)
+      << "no seed's equivalence and schedule-inclusion oracles both caught "
+         "the corrupted bus data";
+}
+
+TEST(FuzzOracle, SimulatesEachSpecOncePerTier) {
+  // interp-diff runs the original and the refined spec once per tier; the
+  // equivalence and schedule-inclusion oracles reuse the runs on the kept
+  // tier, so a clean seed costs 2 x 3 runs. Both explorations stop at their
+  // baseline, and the fuzz oracles never consult the program cache.
+  GenOptions g;
+  g.seed = 1;
+  const Specification spec = generate_spec(g);
+  OracleOptions opts;
+  opts.explore_schedules = 4;
+
+  telemetry::reset();
+  telemetry::enable(/*stats=*/true, /*trace=*/false);
+  const OracleOutcome out = run_oracles(spec, sample_config(1), opts);
+  const telemetry::Snapshot snap = telemetry::snapshot();
+  telemetry::enable(false, false);
+  telemetry::reset();
+
+  ASSERT_TRUE(out.ok()) << out.summary();
+  EXPECT_EQ(snap.counters.at("sim.runs").value, 2u * 3u);
+  EXPECT_EQ(snap.counters.at("sched.explored").value, 2u);
+  // The reused runs were recorded: their decision points reached the
+  // explorer, which pruned the branches there.
+  EXPECT_GT(snap.counters.at("sched.pruned").value, 0u);
+  for (const auto& [name, counter] : snap.counters) {
+    EXPECT_FALSE(name.starts_with("cache.l1.")) << name;
   }
-  EXPECT_TRUE(caught) << "no seed caught the corrupted bus data";
 }
 
 // -- reducer -----------------------------------------------------------------

@@ -70,7 +70,8 @@
 //   --inject-bug done|data plant a known refiner bug (oracle self-test)
 //   --max-cycles N         per-simulation bound (default 5000000)
 //   --explore-schedules[=N] schedule-inclusion oracle depth (default 4)
-//   --exec-tier T          as for simulate (equivalence oracle)
+//   --exec-tier T          as for simulate (the tier whose interp-diff runs
+//                          the equivalence and inclusion oracles reuse)
 //
 // global options (every subcommand):
 //   --stats                print the telemetry summary table on stderr
@@ -213,8 +214,9 @@ fuzz options:
   --max-cycles N         per-simulation bound (default 5000000)
   --explore-schedules[=N]  schedules per side for the schedule-inclusion
                          oracle (default 4; =0 disables)
-  --exec-tier T          as for simulate (used by the equivalence
-                         oracle's simulations)
+  --exec-tier T          as for simulate (the tier whose interp-diff runs
+                         the equivalence and schedule-inclusion oracles
+                         reuse)
 
 global options (accepted by every subcommand):
   --stats                print the telemetry summary table (counters,
