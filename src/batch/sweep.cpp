@@ -84,14 +84,12 @@ OriginalSide simulate_original(const Specification& spec,
 }
 
 /// Refine + verify + price + simulate one matrix point. Everything this
-/// reads is shared const; everything it writes lives in the returned row or
-/// in worker-owned state (ctx.programs) — the determinism contract of
-/// ThreadPool jobs.
+/// reads is shared const; everything it writes lives in the returned row —
+/// the determinism contract of ThreadPool jobs.
 SweepRow eval_point(const Specification& spec, const Partition& part,
                     const AccessGraph& graph, const ProfileResult& prof,
                     const SweepOptions& opts, const OriginalSide& original,
-                    const SweepPoint& point, size_t index,
-                    WorkerContext& ctx) {
+                    const SweepPoint& point, size_t index) {
   SweepRow row;
   row.point = point;
   row.matrix_index = index;
@@ -118,9 +116,11 @@ SweepRow eval_point(const Specification& spec, const Partition& part,
     // The measured run is the only simulation of the refined spec: it also
     // feeds the equivalence check and, recorded, is the canonical baseline
     // of the refined schedule exploration (Fifo takes the explorer's picks).
+    // It compiles without the worker's ProgramCache: the points of a
+    // partitioned spec refine to distinct specs, so a lookup only misses.
     SimConfig sc = sim_config(opts);
     sc.record_schedule = opts.verify && opts.explore_schedules > 0;
-    Simulator sim(r.refined, sc, ctx.programs);
+    Simulator sim(r.refined, sc);
     std::unique_ptr<BusTracer> tracer;
     if (sc.exec_tier != ExecTier::Tree) {  // slot tracing needs a compiled tier
       tracer = std::make_unique<BusTracer>(r.refined);
@@ -235,9 +235,9 @@ SweepReport run_sweep(const Specification& spec, const Partition& part,
   const OriginalSide original =
       opts.verify ? simulate_original(spec, opts) : OriginalSide{};
   report.rows = run_batch<SweepRow>(
-      pool, matrix.size(), [&](size_t job, WorkerContext& ctx) {
+      pool, matrix.size(), [&](size_t job, WorkerContext&) {
         return eval_point(spec, part, graph, prof, opts, original, matrix[job],
-                          job, ctx);
+                          job);
       });
   // Rank best-first. Every key is deterministic per-row data and the matrix
   // index breaks all remaining ties, so the order (and hence table()/json())

@@ -5,10 +5,11 @@
 // configuration is refined, statically verified, priced (estimate/cost),
 // simulated with a BusTracer, and optionally checked for functional
 // equivalence and schedule inclusion against one run of the original shared
-// by all points — each point an independent job on the pool, each worker
-// with its own ProgramCache. The ranked table/JSON is bit-identical for any
-// worker count: jobs write only their own row, and ranking is a pure sort
-// over deterministic per-row data (matrix index breaks all ties).
+// by all points — each point an independent job on the pool that compiles
+// its refined spec once, without a ProgramCache (no two points of a
+// partitioned spec refine alike). The ranked table/JSON is bit-identical
+// for any worker count: jobs write only their own row, and ranking is a
+// pure sort over deterministic per-row data (matrix index breaks all ties).
 //
 // `specsyn sweep` and examples/medical_explorer are thin fronts over
 // run_sweep().

@@ -1,17 +1,16 @@
-// Work-stealing thread pool for batch execution of independent
+// Thread pool for batch execution of independent
 // refine -> lower -> simulate -> check jobs (the engine behind
-// `specsyn fuzz --jobs`, `specsyn sweep`, and bench_batch).
+// `specsyn fuzz --jobs`, `specsyn sweep`, schedule-exploration waves and
+// bench_batch).
 //
 // Shape:
 //   * a fixed worker count, chosen at construction (threads are started once
 //     and parked between batches),
-//   * one double-ended job queue per worker — submission deals job indices
-//     round-robin, a worker pops its own queue LIFO and steals FIFO from the
-//     longest peer queue when its own runs dry, so a skewed batch (one slow
-//     refinement config, many fast ones) still keeps every worker busy,
-//   * a bounded aggregate queue: for_each blocks the submitting thread when
-//     `queue_bound` jobs are pending, so a million-job sweep never
-//     materializes a million queue nodes,
+//   * one shared job cursor: a batch is the index range [0, jobs), and each
+//     worker claims the next unclaimed index whenever it finishes a job, so
+//     a skewed batch (one slow refinement config, many fast ones) still
+//     keeps every worker busy; there is no job queue, so starting a batch
+//     costs the same for ten jobs or a million,
 //   * per-worker arenas: each worker owns a ProgramCache (and, via the
 //     worker index, any caller-side scratch), so the hot path never shares
 //     mutable state between workers.
@@ -23,14 +22,12 @@
 // const (see DESIGN.md "Parallel execution"). Under that contract the merged
 // result vector is bit-identical for any --jobs value.
 //
-// Locking is deliberately coarse (one mutex for queues + batch lifecycle):
-// jobs are milliseconds of simulation work, so queue traffic is cold. The
-// point of the per-worker deques is steal locality, not lock-free speed.
+// One mutex guards the cursor and the batch lifecycle: jobs are
+// milliseconds of simulation work, so claiming an index is cold traffic.
 #pragma once
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
@@ -47,17 +44,15 @@ struct WorkerContext {
   /// Dense worker index, 0 .. workers()-1 (0 for inline execution).
   size_t worker = 0;
   /// The worker's own in-memory compiled-program cache (lowered or bytecode
-  /// tier); never shared between workers, so sweep/oracle jobs reuse
-  /// compiles without lock traffic.
+  /// tier); never shared between workers, so jobs that recompile the same
+  /// spec (exploration waves) reuse compiles without lock traffic.
   ProgramCache* programs = nullptr;
 };
 
 class ThreadPool {
  public:
-  /// Starts `workers` threads (at least 1). `queue_bound` caps the number of
-  /// queued-but-unclaimed jobs across all workers; submission blocks at the
-  /// bound.
-  explicit ThreadPool(size_t workers, size_t queue_bound = 1024);
+  /// Starts `workers` threads (at least 1).
+  explicit ThreadPool(size_t workers);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -80,27 +75,20 @@ class ThreadPool {
 
  private:
   struct Worker {
-    std::deque<size_t> queue;  // guarded by mu_
     ProgramCache programs;
     std::thread thread;
   };
 
   void worker_main(size_t self);
-  /// Pops one job for worker `self` (own back first, then steal from the
-  /// longest peer queue's front). Caller holds mu_. Returns false if no job
-  /// is pending anywhere.
-  bool claim_job(size_t self, size_t& job);
 
   std::mutex mu_;
-  std::condition_variable work_cv_;   // workers: a job or stop_ is available
-  std::condition_variable space_cv_;  // submitter: queue space freed
-  std::condition_variable done_cv_;   // submitter: batch complete
+  std::condition_variable work_cv_;  // workers: a job or stop_ is available
+  std::condition_variable done_cv_;  // submitter: batch complete
 
   std::vector<std::unique_ptr<Worker>> workers_;
-  size_t queue_bound_;
-  size_t queued_ = 0;     // jobs submitted but not yet claimed
-  size_t completed_ = 0;  // jobs finished (ok or error) this batch
+  size_t next_ = 0;       // next unclaimed job index this batch
   size_t total_ = 0;      // jobs in the active batch
+  size_t completed_ = 0;  // jobs finished (ok or error) this batch
   bool active_ = false;
   bool stop_ = false;
   const std::function<void(size_t, WorkerContext&)>* fn_ = nullptr;

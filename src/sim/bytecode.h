@@ -22,8 +22,8 @@
 //
 // Instructions split into *micro-ops* (expression evaluation; consume no
 // scheduling step) and *statement terminals* (end the step and re-enqueue the
-// process). interp_bytecode.cpp dispatches them with computed goto on GNU
-// compilers and a portable switch behind SPECSYN_BYTECODE_SWITCH_DISPATCH.
+// process). interp_bytecode.cpp dispatches them with computed goto, so the
+// build needs GCC or Clang.
 //
 // A BytecodeProgram owns its behavior structure, names, wait-condition
 // strings (blocked-process diagnostics) and procedure layouts; the

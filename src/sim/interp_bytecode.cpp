@@ -6,9 +6,8 @@
 // block/statement trees: control flow is pc jumps, so only Behavior/Seq/Conc
 // boundaries and procedure calls still push frames.
 //
-// Dispatch is computed goto on GNU-compatible compilers (one indirect branch
-// per instruction, which branch predictors specialize per preceding opcode);
-// define SPECSYN_BYTECODE_SWITCH_DISPATCH to force the portable switch loop.
+// Dispatch is computed goto (one indirect branch per instruction, which
+// branch predictors specialize per preceding opcode), a GNU extension.
 //
 // This file also owns the bucket-scheduler event loop (run_fast_loop) so the
 // whole hot path — event loop, frame dispatch, VM — is one translation unit
@@ -18,9 +17,8 @@
 #include "sim/frames.h"
 #include "sim/value.h"
 
-#if !defined(SPECSYN_BYTECODE_SWITCH_DISPATCH) && \
-    (defined(__GNUC__) || defined(__clang__))
-#define SPECSYN_BC_CGOTO 1
+#if !defined(__GNUC__) && !defined(__clang__)
+#error "the bytecode interpreter needs computed goto (GCC or Clang)"
 #endif
 
 namespace specsyn {
@@ -277,7 +275,6 @@ bool Simulator::bexec(Process& p) {
   } while (0)
 #endif
 
-#ifdef SPECSYN_BC_CGOTO
   // Label table indexed by BOp value; must mirror the enum order exactly.
   static const void* const kLabels[] = {
       &&op_LoadLit,       &&op_LoadVar,   &&op_LoadSig,  &&op_LoadLoc,
@@ -297,16 +294,6 @@ bool Simulator::bexec(Process& p) {
     goto* kLabels[static_cast<uint8_t>(code[pc].op)]; \
   } while (0)
   SPECSYN_BC_NEXT();
-#else
-// A label, not a loop: SPECSYN_BC_NEXT must redispatch from inside the
-// statement chain in SPECSYN_BC_STEP_END, where a `continue` would bind to
-// the macro's own do-while instead of the dispatch loop.
-#define SPECSYN_BC_OP(name) case BOp::name:
-#define SPECSYN_BC_NEXT() goto specsyn_bc_dispatch
-specsyn_bc_dispatch:
-  SPECSYN_BC_OPSTAT();
-  switch (code[pc].op) {
-#endif
 
   // ---- expression micro-ops -----------------------------------------------
   SPECSYN_BC_OP(LoadLit) {
@@ -634,10 +621,6 @@ specsyn_bc_dispatch:
 
   SPECSYN_BC_OP(NopStmt) { SPECSYN_BC_STEP_END(pc + 1); }
 
-#ifndef SPECSYN_BC_CGOTO
-  }
-  SPECSYN_BC_NEXT();  // every case returns or redispatches; defensive only
-#endif
 #undef SPECSYN_BC_OP
 #undef SPECSYN_BC_NEXT
 #undef SPECSYN_BC_OPSTAT

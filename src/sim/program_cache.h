@@ -2,11 +2,10 @@
 //
 // Each Simulator re-lowers its spec from scratch. The cache removes the
 // compile when a content-identical spec is simulated again under the same
-// SimConfig: a sweep worker meeting a refined text another point already
-// produced, or an exploration wave replaying one spec under many schedules
+// SimConfig: an exploration wave replaying one spec under many schedules
 // (EquivalenceOptions::programs lets check_equivalence callers opt in too).
-// The differential-fuzz oracles do not use it: they simulate each
-// (spec, tier) pair exactly once, so every lookup would miss.
+// Sweep points and the differential-fuzz oracles do not use it: they
+// compile each (spec, tier) pair once, so every lookup would miss.
 //
 // Entries are keyed by the *canonical printed form* of the specification
 // plus the SimConfig fields, so two Specification objects with identical

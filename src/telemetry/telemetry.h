@@ -23,9 +23,9 @@
 //                (per-seed sim step counts, oracle verdicts, opcode
 //                histograms, per-phase span *counts* for phases that run a
 //                fixed number of times).
-//       Sched  — deterministic work, scheduling-dependent accounting: steal
-//                counts, queue depths, which worker's L1 took the miss, how
-//                many lowers ran before a cache hit covered the rest.
+//       Sched  — deterministic work, scheduling-dependent accounting:
+//                per-worker job counts, how many lowers ran before a
+//                program-cache hit covered the rest.
 //       Time   — wall-clock durations and latencies; never reproducible.
 //
 //     The "byte-identical across --jobs" contract (tools/check_stats_json.py

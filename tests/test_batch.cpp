@@ -1,9 +1,12 @@
-// Batch engine tests: thread-pool correctness (ordering, stealing contexts,
-// exception discipline), the lowered-program cache, Simulator reuse via
-// reset(), parallel equivalence, and the engine-level determinism contract
-// (sweep and fuzz output identical for any worker count).
+// Batch engine tests: thread-pool correctness (ordering, load balance,
+// worker contexts, exception discipline), the lowered-program cache,
+// Simulator reuse via reset(), parallel equivalence, and the engine-level
+// determinism contract (sweep and fuzz output identical for any worker
+// count).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
 #include <filesystem>
 #include <mutex>
 #include <set>
@@ -42,9 +45,8 @@ TEST(ThreadPool, RunBatchOrdersResultsForAnyWorkerCount) {
   }
 }
 
-TEST(ThreadPool, BoundedQueueStillCompletesEveryJob) {
-  // Submission blocks at the bound; all jobs must still run exactly once.
-  ThreadPool pool(3, /*queue_bound=*/4);
+TEST(ThreadPool, EveryJobRunsExactlyOnce) {
+  ThreadPool pool(3);
   std::mutex mu;
   std::set<size_t> seen;
   pool.for_each(500, [&](size_t job, WorkerContext&) {
@@ -52,6 +54,28 @@ TEST(ThreadPool, BoundedQueueStillCompletesEveryJob) {
     EXPECT_TRUE(seen.insert(job).second) << "job " << job << " ran twice";
   });
   EXPECT_EQ(seen.size(), 500u);
+}
+
+TEST(ThreadPool, SlowJobDoesNotHoldBackTheRest) {
+  // Job 0 blocks its worker until every other job has run, so the other
+  // worker must claim all of them: no job waits behind a slow one.
+  constexpr size_t kJobs = 64;
+  ThreadPool pool(2);
+  std::mutex mu;
+  std::condition_variable cv;
+  size_t others_done = 0;
+  pool.for_each(kJobs, [&](size_t job, WorkerContext&) {
+    std::unique_lock<std::mutex> lock(mu);
+    if (job == 0) {
+      EXPECT_TRUE(cv.wait_for(lock, std::chrono::seconds(10),
+                              [&] { return others_done == kJobs - 1; }))
+          << others_done << " of " << kJobs - 1 << " other jobs ran";
+    } else {
+      ++others_done;
+      cv.notify_all();
+    }
+  });
+  EXPECT_EQ(others_done, kJobs - 1);
 }
 
 TEST(ThreadPool, WorkersGetDistinctArenas) {
@@ -311,6 +335,10 @@ TEST(Sweep, VerifySimulatesEachSpecOnce) {
   // The measured runs were recorded: their decision points reached the
   // explorer, which pruned the branches there.
   EXPECT_GT(snap.counters.at("sched.pruned").value, 0u);
+  // Points compile without the worker's program cache.
+  for (const auto& [name, counter] : snap.counters) {
+    EXPECT_FALSE(name.starts_with("cache.l1.")) << name;
+  }
 }
 
 // -- checks over shared runs -------------------------------------------------

@@ -24,9 +24,7 @@
 //   --vcd FILE             dump a VCD waveform of every signal
 //   --exec-tier T          execution tier: tree | lowered | bytecode
 //                          (default lowered, or $SPECSYN_EXEC_TIER;
-//                          slot-indexed tracing requires a compiled tier;
-//                          --no-lowering is a deprecated alias for
-//                          --exec-tier tree)
+//                          slot-indexed tracing requires a compiled tier)
 //   --sched-policy P       ready-set tie-break policy: fifo | random | replay
 //   --sched-seed N         seed for --sched-policy random
 //   --replay-witness W     replay a schedule witness ("picks:1,0,2" or
@@ -169,8 +167,6 @@ simulate options:
                          register bytecode). Default lowered, overridable
                          via $SPECSYN_EXEC_TIER. Slot-indexed tracing
                          (--trace/--metrics) requires a compiled tier.
-                         --no-lowering is a deprecated alias for
-                         --exec-tier tree.
   --sched-policy P       ready-set tie-break policy when several processes
                          are runnable at the same instant: fifo (default,
                          event order), random (seeded shuffle), replay
@@ -229,9 +225,7 @@ global options (accepted by every subcommand):
                          tool's own pipeline phases (parse, refine, price,
                          check, lower, simulate, equivalence ...) with one
                          lane per worker thread
-  --exec-tier T          execution tier (tree | lowered | bytecode);
-                         --no-lowering is a deprecated alias for
-                         --exec-tier tree
+  --exec-tier T          execution tier (tree | lowered | bytecode)
 
 telemetry never changes the bytes of any primary output: stats go to stderr
 or to the named files only.
@@ -295,13 +289,6 @@ int parse_global_flag(const std::string& f, NextFn&& next, GlobalOpts& g) {
       return -1;
     }
     g.exec_tier = tier;
-    return 1;
-  }
-  if (f == "--no-lowering") {
-    std::fprintf(stderr,
-                 "warning: --no-lowering is deprecated; use --exec-tier "
-                 "tree\n");
-    g.exec_tier = ExecTier::Tree;
     return 1;
   }
   return 0;
