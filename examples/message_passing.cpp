@@ -32,22 +32,30 @@ Specification make_spec() {
 }
 
 /// Prints every change of the bus control signals, indented per bus.
-class BusTracer : public SimObserver {
+class BusTracer : public SlotObserver {
  public:
-  void on_signal_change(const std::string& sig, uint64_t t,
-                        uint64_t v) override {
-    // Only the handshake lines; data/addr values shown on start edges.
-    if (sig.find("_start") == std::string::npos &&
-        sig.find("_done") == std::string::npos) {
-      return;
+  void on_bind(const Binding& b) override {
+    // Only the handshake lines: keep the names of *_start / *_done slots.
+    names_.assign(b.signals->size(), "");
+    for (size_t slot = 0; slot < names_.size(); ++slot) {
+      const std::string& sig = b.signals->name_of(slot);
+      if (sig.find("_start") != std::string::npos ||
+          sig.find("_done") != std::string::npos) {
+        names_[slot] = sig;
+      }
     }
+  }
+
+  void on_signal_commit(uint32_t slot, uint64_t t, uint64_t v) override {
+    if (names_[slot].empty()) return;
     if (printed_ > 60) return;  // keep the demo readable
     std::printf("  t=%-5llu %s = %llu\n", static_cast<unsigned long long>(t),
-                sig.c_str(), static_cast<unsigned long long>(v));
+                names_[slot].c_str(), static_cast<unsigned long long>(v));
     ++printed_;
   }
 
  private:
+  std::vector<std::string> names_;  // by signal slot; "" = not printed
   int printed_ = 0;
 };
 
@@ -88,7 +96,7 @@ int main() {
 
   Simulator sim(r.refined);
   BusTracer tracer;
-  sim.add_observer(&tracer);
+  sim.add_slot_observer(&tracer);
   SimResult res = sim.run();
 
   std::printf("\nsimulation %s at t=%llu; out1=%llu (expected 42), y=%llu "

@@ -48,7 +48,7 @@ class Checker {
             std::string msg) {
     report_.findings.push_back(
         {code, sev, b != nullptr ? ctx_.path_of(b) : std::string{},
-         std::move(msg)});
+         std::move(msg), std::string{}});
   }
 
   [[nodiscard]] const std::string& bus_name(uint32_t bus) const {

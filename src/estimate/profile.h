@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <map>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.h"
 
@@ -35,29 +36,31 @@ struct AccessCounts {
   [[nodiscard]] uint64_t total() const { return reads + writes; }
 };
 
-/// SimObserver that accumulates the profile; attach to any Simulator.
-class ProfileCollector : public SimObserver {
+/// SlotObserver that accumulates the profile; attach to any Simulator. It
+/// counts into dense per-(behavior id, variable slot) counters during the
+/// run and materializes the name-keyed maps only when asked.
+class ProfileCollector : public SlotObserver {
  public:
-  void on_var_read(const std::string& var, const std::string& behavior,
-                   uint64_t time) override;
-  void on_var_write(const std::string& var, const std::string& behavior,
-                    uint64_t time, uint64_t value) override;
-  void on_behavior_start(const std::string& behavior, uint64_t time) override;
-  void on_behavior_end(const std::string& behavior, uint64_t time) override;
+  void on_bind(const Binding& b) override;
+  void on_var_read(uint32_t slot, uint32_t behavior, uint64_t time) override;
+  void on_var_write(uint32_t slot, uint32_t behavior, uint64_t time,
+                    uint64_t value) override;
+  void on_behavior_start(uint32_t behavior, uint64_t process,
+                         uint64_t time) override;
+  void on_behavior_end(uint32_t behavior, uint64_t process,
+                       uint64_t time) override;
 
-  [[nodiscard]] const std::map<std::string, BehaviorProfile>& behaviors() const {
-    return behaviors_;
-  }
-  /// (behavior, var) -> counts.
-  [[nodiscard]] const std::map<std::pair<std::string, std::string>,
-                               AccessCounts>&
-  accesses() const {
-    return accesses_;
-  }
+  /// Behaviors that started at least once, by name.
+  [[nodiscard]] std::map<std::string, BehaviorProfile> behaviors() const;
+  /// (behavior, var) -> counts, for every pair accessed at least once.
+  [[nodiscard]] std::map<std::pair<std::string, std::string>, AccessCounts>
+  accesses() const;
 
  private:
-  std::map<std::string, BehaviorProfile> behaviors_;
-  std::map<std::pair<std::string, std::string>, AccessCounts> accesses_;
+  std::vector<std::string> behavior_names_;  // by behavior id
+  std::vector<std::string> var_names_;       // by variable slot
+  std::vector<BehaviorProfile> behaviors_;   // by behavior id
+  std::vector<AccessCounts> accesses_;  // [behavior id * var count + slot]
 };
 
 struct ProfileResult {

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "refine/protocol.h"
-#include "sim/program.h"
 
 namespace specsyn {
 
@@ -122,11 +121,8 @@ void BusTracer::scan_stmts(const StmtList& stmts, const Specification& spec) {
 }
 
 void BusTracer::on_bind(const Binding& b) {
-  binding_ = b;
-  bound_ = true;
   // Copy the interned behavior names out of the binding: the tracer is
   // routinely consulted after the Simulator (which owns them) is gone.
-  // b.prog is null under the bytecode tier, so never read through it here.
   behavior_names_ = *b.behavior_names;
   slot_roles_.assign(b.signals->size(), SlotRole{});
   for (const auto& [name, role] : name_roles_) {

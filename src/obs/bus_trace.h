@@ -186,12 +186,10 @@ class BusTracer : public SlotObserver {
   /// slots (slot_roles_) once at on_bind.
   std::map<std::string, SlotRole> name_roles_;
   std::vector<SlotRole> slot_roles_;
-  /// Interned behavior id -> name, copied from the Program at bind time so
+  /// Interned behavior id -> name, copied from the Binding at bind time so
   /// lookups stay valid after the Simulator is destroyed.
   std::vector<std::string> behavior_names_;
-  Binding binding_;
   uint64_t end_time_ = 0;
-  bool bound_ = false;
 };
 
 }  // namespace specsyn

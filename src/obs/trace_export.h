@@ -81,10 +81,8 @@ class TraceExporter : public SlotObserver {
   }
 
   double clock_hz_;
-  Binding binding_;
-  bool bound_ = false;
-  /// Behavior id -> name, copied from the Program at bind time (the Binding's
-  /// Program does not outlive the Simulator; the exporter must).
+  /// Behavior id -> name, copied from the Binding at bind time (the
+  /// Simulator that owns the names does not outlive the exporter).
   std::vector<std::string> behavior_names_;
   std::vector<Event> events_;  // in simulation order
   std::vector<Span> spans_;

@@ -17,8 +17,8 @@
 //     (WaitSigEq/WaitSigNz for `wait sig == k`, SigImm for `sig <= k`,
 //     AssignImm/AssignLoad for constant and copy assignments) — fusion never
 //     crosses a statement boundary because every statement must still consume
-//     exactly one scheduling step (`SimConfig::stmt_cost` cycles) to stay
-//     bit-identical with the other two tiers.
+//     exactly one scheduling step (one cycle) to stay bit-identical with the
+//     other two tiers.
 //
 // Instructions split into *micro-ops* (expression evaluation; consume no
 // scheduling step) and *statement terminals* (end the step and re-enqueue the
@@ -27,10 +27,8 @@
 //
 // A BytecodeProgram owns its behavior structure, names, wait-condition
 // strings (blocked-process diagnostics) and procedure layouts; the
-// intermediate lowered Program is dropped once compilation finishes. Its only
-// pointers into the source spec are the `const Behavior*` back-pointers used
-// for name-keyed observer attribution, so the spec must outlive the program
-// (ProgramCache entries keep their own spec clone for this reason).
+// intermediate lowered Program is dropped once compilation finishes, and no
+// pointer into the source spec survives it.
 #pragma once
 
 #include <cstdint>
@@ -94,13 +92,9 @@ enum class BOp : uint8_t {
   NopStmt,       // the `nop` statement
 };
 
-/// Number of BOp values (sizes the opcode-stats tables and checks that the
-/// mnemonic and dispatch-label tables cover every opcode).
+/// Number of BOp values (checks that the dispatch-label table covers every
+/// opcode).
 inline constexpr uint8_t kBOpCount = static_cast<uint8_t>(BOp::NopStmt) + 1;
-
-/// Mnemonic for an opcode ("LoadLit", ...); "?" for out-of-range values.
-/// Used by the SPECSYN_OPCODE_STATS telemetry histograms.
-const char* bop_name(BOp op);
 
 /// Register-file size. Expressions whose postfix evaluation depth exceeds
 /// this are compiled to EvalSpill instead of register micro-ops.
@@ -167,7 +161,6 @@ struct BWaitOp {
 struct BBehavior {
   static constexpr uint32_t kComplete = UINT32_MAX;
 
-  const Behavior* src = nullptr;  // node of the compiled spec
   uint32_t id = 0;
   BehaviorKind kind = BehaviorKind::Leaf;
   uint32_t body = 0;                  // Leaf: entry pc

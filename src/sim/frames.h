@@ -76,7 +76,11 @@ struct Simulator::Process {
   uint32_t call_idx = 0;
   uint64_t wait_epoch = 0;          // invalidates stale waiter-list entries
   Process* parent = nullptr;        // forking process (Conc), or null
-  std::vector<const Behavior*> behavior_stack;  // innermost = attribution
+  std::vector<uint32_t> behavior_stack;  // interned ids; innermost = attribution
 };
+
+inline uint32_t Simulator::innermost_behavior_id(const Process& p) {
+  return p.behavior_stack.empty() ? UINT32_MAX : p.behavior_stack.back();
+}
 
 }  // namespace specsyn

@@ -5,15 +5,6 @@
 
 namespace specsyn {
 
-namespace {
-const std::string kNoBehavior = "<none>";
-}
-
-const std::string& Simulator::current_behavior(const Process& p) const {
-  if (p.behavior_stack.empty()) return kNoBehavior;
-  return p.behavior_stack.back()->name;
-}
-
 uint64_t Simulator::read_name(const std::string& name, Process& p) {
   // Innermost procedure activation (if any) shadows the global tables.
   for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
@@ -25,8 +16,8 @@ uint64_t Simulator::read_name(const std::string& name, Process& p) {
   }
   const size_t vi = vars_.find(name);
   if (vi != SIZE_MAX) {
-    for (SimObserver* o : observers_) {
-      o->on_var_read(name, current_behavior(p), now_);
+    for (SlotObserver* o : slot_observers_) {
+      o->on_var_read(static_cast<uint32_t>(vi), innermost_behavior_id(p), now_);
     }
     return vars_.get(vi);
   }
@@ -51,8 +42,9 @@ void Simulator::write_var(const std::string& name, uint64_t value, Process& p) {
     throw SpecError("simulator: assignment to unresolved name '" + name + "'");
   }
   vars_.set(vi, value);
-  for (SimObserver* o : observers_) {
-    o->on_var_write(name, current_behavior(p), now_, vars_.get(vi));
+  for (SlotObserver* o : slot_observers_) {
+    o->on_var_write(static_cast<uint32_t>(vi), innermost_behavior_id(p), now_,
+                    vars_.get(vi));
   }
   if (observable_[vi] != 0) {
     raw_writes_.push_back({static_cast<uint32_t>(vi), vars_.get(vi), now_});
@@ -141,7 +133,7 @@ void Simulator::seq_advance(Process& p) {
     f.child = next;
     enter_behavior(*b.children[next], p);
   }
-  enqueue(p, now_ + cfg_.stmt_cost);
+  enqueue(p, now_ + 1);
 }
 
 void Simulator::step(Process& p) {
@@ -154,15 +146,18 @@ void Simulator::step(Process& p) {
       const Behavior& b = *f.behavior;
       if (!f.started) {
         f.started = true;
-        p.behavior_stack.push_back(&b);
-        for (SimObserver* o : observers_) o->on_behavior_start(b.name, now_);
+        const uint32_t id = tree_ids_->id_of(b);
+        p.behavior_stack.push_back(id);
+        for (SlotObserver* o : slot_observers_) {
+          o->on_behavior_start(id, p.id, now_);
+        }
         switch (b.kind) {
           case BehaviorKind::Leaf: {
             Frame body;
             body.kind = Frame::Kind::Block;
             body.stmts = &b.body;
             p.stack.push_back(std::move(body));
-            enqueue(p, now_ + cfg_.stmt_cost);
+            enqueue(p, now_ + 1);
             break;
           }
           case BehaviorKind::Sequential: {
@@ -170,7 +165,7 @@ void Simulator::step(Process& p) {
             seq.kind = Frame::Kind::Seq;
             seq.behavior = &b;
             p.stack.push_back(std::move(seq));
-            enqueue(p, now_ + cfg_.stmt_cost);
+            enqueue(p, now_ + 1);
             break;
           }
           case BehaviorKind::Concurrent: {
@@ -182,15 +177,18 @@ void Simulator::step(Process& p) {
             p.status = Process::Status::Blocked;  // until children join
             for (const auto& c : b.children) {
               Process& cp = spawn(c.get(), nullptr, nullptr, &p);
-              enqueue(cp, now_ + cfg_.stmt_cost);
+              enqueue(cp, now_ + 1);
             }
             break;
           }
         }
       } else {
         // Body / children finished: this behavior completes.
-        for (SimObserver* o : observers_) o->on_behavior_end(b.name, now_);
-        ++behavior_completions_[b.name];
+        const uint32_t id = p.behavior_stack.back();
+        for (SlotObserver* o : slot_observers_) {
+          o->on_behavior_end(id, p.id, now_);
+        }
+        ++completions_[id];
         p.behavior_stack.pop_back();
         leave_frame(p);
         if (p.stack.empty()) {
@@ -200,7 +198,7 @@ void Simulator::step(Process& p) {
           // transition decision is attributed to the composite.
           seq_advance(p);
         } else {
-          enqueue(p, now_ + cfg_.stmt_cost);
+          enqueue(p, now_ + 1);
         }
       }
       break;
@@ -211,7 +209,7 @@ void Simulator::step(Process& p) {
         f.started = true;
         f.child = 0;
         enter_behavior(*f.behavior->children[0], p);
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       } else {
         // Reached only if a child completed without the Behavior frame
         // dispatching (defensive; normal path goes through seq_advance).
@@ -226,7 +224,7 @@ void Simulator::step(Process& p) {
         throw SpecError("internal: conc frame stepped with children running");
       }
       leave_frame(p);
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
 
@@ -239,13 +237,13 @@ void Simulator::step(Process& p) {
         } else {
           leave_frame(p);
         }
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       } else if (f.owner != nullptr && f.owner->kind == Stmt::Kind::Loop) {
         f.idx = 0;
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       } else {
         leave_frame(p);
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       }
       break;
     }
@@ -257,7 +255,7 @@ void Simulator::step(Process& p) {
       for (const auto& [param, dest] : call.call_state->out_binds) {
         write_var(dest, call.call_state->locals.at(param), p);
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Frame::Kind::Code:
@@ -272,7 +270,7 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       const uint64_t v = eval(*s.expr, p);
       write_var(s.target, v, p);
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::SignalAssign: {
@@ -281,9 +279,14 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       if (si == SIZE_MAX) {
         throw SpecError("simulator: '<=' to unknown signal '" + s.target + "'");
       }
-      schedule_signal(si, v, now_ + cfg_.signal_delay);
+      for (SlotObserver* o : slot_observers_) {
+        o->on_signal_schedule(static_cast<uint32_t>(si),
+                              innermost_behavior_id(p), now_,
+                              signals_.type_of(si).wrap(v));
+      }
+      schedule_signal(si, v, now_ + 1);
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::If: {
@@ -296,7 +299,7 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
         body.stmts = &blk;
         p.stack.push_back(std::move(body));
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::While: {
@@ -308,7 +311,7 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
         body.owner = &s;
         p.stack.push_back(std::move(body));
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::Loop: {
@@ -318,13 +321,13 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       body.stmts = &s.then_block;
       body.owner = &s;
       p.stack.push_back(std::move(body));
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::Wait: {
       if (eval(*s.expr, p) != 0) {
         ++f.idx;
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       } else {
         block_on(p, *s.expr);
       }
@@ -366,7 +369,7 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
       body.kind = Frame::Kind::Block;
       body.stmts = &proc->body;
       p.stack.push_back(std::move(body));
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::Break: {
@@ -380,12 +383,12 @@ void Simulator::exec_stmt(const Stmt& s, Process& p) {
         p.stack.pop_back();
         if (is_loop) break;
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::Nop: {
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
   }

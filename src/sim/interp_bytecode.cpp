@@ -23,16 +23,15 @@
 
 namespace specsyn {
 
-// Re-arms p for its next step at now_ + stmt_cost. chain_ok_ (stmt_cost == 1)
-// licenses the direct fb_next_ push — the enqueue(now_ + 1) fast path without
-// the call.
+// Re-arms p for its next step at now_ + 1. Under fast_sched_ that is the
+// direct fb_next_ push — the enqueue(now_ + 1) fast path without the call.
 inline void Simulator::rearm_step(Process& p) {
   p.status = Process::Status::Ready;
-  if (chain_ok_) {
+  if (fast_sched_) {
     fb_next_->runs.push_back(&p);
     return;
   }
-  enqueue(p, now_ + cfg_.stmt_cost);
+  enqueue(p, now_ + 1);
 }
 
 // O(1) innermost-call access off the index the Call handler maintains; the
@@ -74,11 +73,11 @@ void Simulator::bblock_on(Process& p, const BWaitSite& site) {
 //
 // Any doubt returns false and falls back to the scheduler, including the
 // max_cycles boundaries, where the loop's exact termination bookkeeping must
-// run. Precondition: fast_sched_. chain_ok_ (stmt_cost == 1) guarantees a
-// successful statement re-arms into fb_next_.
+// run. Every successful statement re-arms into fb_next_ under fast_sched_,
+// which is what makes the proof local.
 template <bool Obs>
 inline bool Simulator::chain_advance() {
-  if (!chain_ok_ || fb_run_next_ != fb_cur_->runs.size() ||
+  if (!fast_sched_ || fb_run_next_ != fb_cur_->runs.size() ||
       !fb_cur_->sigs.empty() || !fb_next_->runs.empty() ||
       (!run_q_.empty() && run_q_.top().time <= now_ + 1) ||
       (!sig_q_.empty() && sig_q_.top().time <= now_ + 1) ||
@@ -105,9 +104,8 @@ template <bool Obs>
 void Simulator::bwrite_var(uint32_t slot, uint64_t value, Process& p) {
   vars_.set(slot, value);
   if constexpr (Obs) {
-    for (SimObserver* o : observers_) {
-      o->on_var_write(vars_.name_of(slot), current_behavior(p), now_,
-                      vars_.get(slot));
+    for (SlotObserver* o : slot_observers_) {
+      o->on_var_write(slot, innermost_behavior_id(p), now_, vars_.get(slot));
     }
   }
   if (observable_[slot] != 0) {
@@ -130,8 +128,8 @@ uint64_t Simulator::beval_spill(const BInstr& ins, Process& p) {
         break;
       case LOp::Kind::PushVar:
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(op->slot), current_behavior(p), now_);
+          for (SlotObserver* o : slot_observers_) {
+            o->on_var_read(op->slot, innermost_behavior_id(p), now_);
           }
         }
         *sp++ = vars_.get(op->slot);
@@ -170,8 +168,8 @@ uint64_t Simulator::beval_guard(uint32_t pc, Process& p) {
         break;
       case BOp::LoadVar:
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(i.slot), current_behavior(p), now_);
+          for (SlotObserver* o : slot_observers_) {
+            o->on_var_read(i.slot, innermost_behavior_id(p), now_);
           }
         }
         regs[i.a] = vars_.get(i.slot);
@@ -236,12 +234,12 @@ bool Simulator::bexec(Process& p) {
 // Successful same-frame statement terminal: commit the next pc, charge the
 // step — chaining straight into the next statement's micro-ops when this
 // process is provably alone (chain_advance), else re-arming into fb_next_
-// (the enqueue(now_ + 1) fast path, licensed by chain_ok_) or the scheduler.
+// (the enqueue(now_ + 1) fast path under fast_sched_) or the scheduler.
 #define SPECSYN_BC_STEP_END(npc)                                    \
   do {                                                              \
     const uint32_t npc_ = (npc);                                    \
     f.idx = npc_;                                                   \
-    if (chain_ok_) {                                                \
+    if (fast_sched_) {                                              \
       if (chain_advance<Obs>()) {                                   \
         pc = npc_;                                                  \
         SPECSYN_BC_NEXT();                                          \
@@ -250,30 +248,9 @@ bool Simulator::bexec(Process& p) {
       fb_next_->runs.push_back(&p);                                 \
       return false;                                                 \
     }                                                               \
-    enqueue(p, now_ + cfg_.stmt_cost);                              \
+    enqueue(p, now_ + 1);                                           \
     return false;                                                   \
   } while (0)
-
-// Opcode/opcode-pair profiling (SPECSYN_OPCODE_STATS builds only): runs on
-// every dispatch, so it is compile-time gated rather than enabled()-checked —
-// a branch per micro-op would cost the exact overhead the telemetry layer
-// promises not to add. Counts land in Simulator arrays and are flushed to the
-// registry at the end of run().
-#ifdef SPECSYN_OPCODE_STATS
-  static_assert(kBOpCount <= 64, "op_counts_ arrays are sized for 64 opcodes");
-#define SPECSYN_BC_OPSTAT()                                               \
-  do {                                                                    \
-    const uint8_t opstat_cur_ = static_cast<uint8_t>(code[pc].op);        \
-    ++op_counts_[opstat_cur_];                                            \
-    if (op_prev_ != kOpStatNone)                                          \
-      ++op_pair_counts_[static_cast<size_t>(op_prev_) * 64u + opstat_cur_]; \
-    op_prev_ = opstat_cur_;                                               \
-  } while (0)
-#else
-#define SPECSYN_BC_OPSTAT() \
-  do {                      \
-  } while (0)
-#endif
 
   // Label table indexed by BOp value; must mirror the enum order exactly.
   static const void* const kLabels[] = {
@@ -288,11 +265,8 @@ bool Simulator::bexec(Process& p) {
       &&op_DelayStep,     &&op_Call,      &&op_EndUnit,  &&op_NopStmt};
   static_assert(sizeof(kLabels) / sizeof(kLabels[0]) == kBOpCount);
 #define SPECSYN_BC_OP(name) op_##name:
-#define SPECSYN_BC_NEXT()                             \
-  do {                                                \
-    SPECSYN_BC_OPSTAT();                              \
-    goto* kLabels[static_cast<uint8_t>(code[pc].op)]; \
-  } while (0)
+#define SPECSYN_BC_NEXT() \
+  goto* kLabels[static_cast<uint8_t>(code[pc].op)]
   SPECSYN_BC_NEXT();
 
   // ---- expression micro-ops -----------------------------------------------
@@ -306,8 +280,8 @@ bool Simulator::bexec(Process& p) {
   SPECSYN_BC_OP(LoadVar) {
     const BInstr& i = code[pc];
     if constexpr (Obs) {
-      for (SimObserver* o : observers_) {
-        o->on_var_read(vars_.name_of(i.slot), current_behavior(p), now_);
+      for (SlotObserver* o : slot_observers_) {
+        o->on_var_read(i.slot, innermost_behavior_id(p), now_);
       }
     }
     regs[i.a] = vars_.get(i.slot);
@@ -405,15 +379,12 @@ bool Simulator::bexec(Process& p) {
     const BInstr& i = code[pc];
     const uint64_t v = regs[i.b];
     if constexpr (Obs) {
-      if (!slot_observers_.empty()) {
-        const uint64_t wrapped = signals_.type_of(i.slot).wrap(v);
-        const uint32_t behavior = innermost_behavior_id(p);
-        for (SlotObserver* o : slot_observers_) {
-          o->on_signal_schedule(i.slot, behavior, now_, wrapped);
-        }
+      const uint64_t wrapped = signals_.type_of(i.slot).wrap(v);
+      for (SlotObserver* o : slot_observers_) {
+        o->on_signal_schedule(i.slot, innermost_behavior_id(p), now_, wrapped);
       }
     }
-    schedule_signal(i.slot, v, now_ + cfg_.signal_delay);
+    schedule_signal(i.slot, v, now_ + 1);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
@@ -436,8 +407,8 @@ bool Simulator::bexec(Process& p) {
     switch (i.a & 3) {
       case kSrcVar:
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(i.aux), current_behavior(p), now_);
+          for (SlotObserver* o : slot_observers_) {
+            o->on_var_read(i.aux, innermost_behavior_id(p), now_);
           }
         }
         v = vars_.get(i.aux);
@@ -462,15 +433,12 @@ bool Simulator::bexec(Process& p) {
   SPECSYN_BC_OP(SigImm) {
     const BInstr& i = code[pc];
     if constexpr (Obs) {
-      if (!slot_observers_.empty()) {
-        const uint64_t wrapped = signals_.type_of(i.slot).wrap(i.imm);
-        const uint32_t behavior = innermost_behavior_id(p);
-        for (SlotObserver* o : slot_observers_) {
-          o->on_signal_schedule(i.slot, behavior, now_, wrapped);
-        }
+      const uint64_t wrapped = signals_.type_of(i.slot).wrap(i.imm);
+      for (SlotObserver* o : slot_observers_) {
+        o->on_signal_schedule(i.slot, innermost_behavior_id(p), now_, wrapped);
       }
     }
-    schedule_signal(i.slot, i.imm, now_ + cfg_.signal_delay);
+    schedule_signal(i.slot, i.imm, now_ + 1);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
@@ -480,8 +448,8 @@ bool Simulator::bexec(Process& p) {
     switch (i.a) {
       case kSrcVar:
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(i.aux), current_behavior(p), now_);
+          for (SlotObserver* o : slot_observers_) {
+            o->on_var_read(i.aux, innermost_behavior_id(p), now_);
           }
         }
         v = vars_.get(i.aux);
@@ -495,15 +463,12 @@ bool Simulator::bexec(Process& p) {
         break;
     }
     if constexpr (Obs) {
-      if (!slot_observers_.empty()) {
-        const uint64_t wrapped = signals_.type_of(i.slot).wrap(v);
-        const uint32_t behavior = innermost_behavior_id(p);
-        for (SlotObserver* o : slot_observers_) {
-          o->on_signal_schedule(i.slot, behavior, now_, wrapped);
-        }
+      const uint64_t wrapped = signals_.type_of(i.slot).wrap(v);
+      for (SlotObserver* o : slot_observers_) {
+        o->on_signal_schedule(i.slot, innermost_behavior_id(p), now_, wrapped);
       }
     }
-    schedule_signal(i.slot, v, now_ + cfg_.signal_delay);
+    schedule_signal(i.slot, v, now_ + 1);
     SPECSYN_BC_STEP_END(pc + 1);
   }
 
@@ -623,7 +588,6 @@ bool Simulator::bexec(Process& p) {
 
 #undef SPECSYN_BC_OP
 #undef SPECSYN_BC_NEXT
-#undef SPECSYN_BC_OPSTAT
 #undef SPECSYN_BC_STEP_END
 }
 
@@ -677,11 +641,8 @@ void Simulator::bstep(Process& p) {
         const BBehavior& b = *f.bbehavior;
         if (!f.started) {
           f.started = true;
-          p.behavior_stack.push_back(b.src);
+          p.behavior_stack.push_back(b.id);
           if constexpr (Obs) {
-            for (SimObserver* o : observers_) {
-              o->on_behavior_start(b.src->name, now_);
-            }
             for (SlotObserver* o : slot_observers_) {
               o->on_behavior_start(b.id, p.id, now_);
             }
@@ -714,8 +675,8 @@ void Simulator::bstep(Process& p) {
               p.status = Process::Status::Blocked;  // until children join
               for (uint32_t cid : b.children) {
                 const BBehavior& c = bprog_->behaviors()[cid];
-                Process& cp = spawn(c.src, nullptr, &c, &p);
-                enqueue(cp, now_ + cfg_.stmt_cost);
+                Process& cp = spawn(nullptr, nullptr, &c, &p);
+                enqueue(cp, now_ + 1);
               }
               return;
             }
@@ -724,9 +685,6 @@ void Simulator::bstep(Process& p) {
         }
         // Body / children finished: this behavior completes.
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_behavior_end(b.src->name, now_);
-          }
           for (SlotObserver* o : slot_observers_) {
             o->on_behavior_end(b.id, p.id, now_);
           }

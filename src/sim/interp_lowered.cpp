@@ -1,24 +1,13 @@
 // Lowered statement interpreter: executes one scheduling step of one process
 // against the compiled Program (sim/program.h). Mirrors interp.cpp's frame
 // machine exactly — same frames, same enqueue points, same costs — so both
-// paths produce bit-identical SimResults; only name resolution (pre-lowered
-// slots vs. hash lookups) and observer dispatch (compile-time `Obs` variant
-// vs. per-access loops) differ.
+// paths produce bit-identical SimResults and observer streams; only name
+// resolution (pre-lowered slots vs. hash lookups) and observer dispatch
+// (compile-time `Obs` variant vs. per-access loops) differ.
 #include "sim/frames.h"
 #include "sim/value.h"
 
 namespace specsyn {
-
-// Interned id of the innermost active behavior — the attribution carried by
-// slot-observer events. Observed path only; walks the (shallow) frame stack.
-uint32_t Simulator::innermost_behavior_id(const Process& p) {
-  for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
-    if (it->kind != Frame::Kind::Behavior) continue;
-    if (it->lbehavior != nullptr) return it->lbehavior->id;
-    if (it->bbehavior != nullptr) return it->bbehavior->id;  // bytecode tier
-  }
-  return UINT32_MAX;
-}
 
 Simulator::Frame& Simulator::innermost_call(Process& p) {
   for (auto it = p.stack.rbegin(); it != p.stack.rend(); ++it) {
@@ -40,8 +29,8 @@ uint64_t Simulator::leval(const LExpr& e, Process& p) {
         break;
       case LOp::Kind::PushVar:
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_var_read(vars_.name_of(op->slot), current_behavior(p), now_);
+          for (SlotObserver* o : slot_observers_) {
+            o->on_var_read(op->slot, innermost_behavior_id(p), now_);
           }
         }
         *sp++ = vars_.get(op->slot);
@@ -75,8 +64,8 @@ void Simulator::lwrite(const LTarget& t, uint64_t value, Process& p) {
   }
   vars_.set(t.slot, value);
   if constexpr (Obs) {
-    for (SimObserver* o : observers_) {
-      o->on_var_write(vars_.name_of(t.slot), current_behavior(p), now_,
+    for (SlotObserver* o : slot_observers_) {
+      o->on_var_write(t.slot, innermost_behavior_id(p), now_,
                       vars_.get(t.slot));
     }
   }
@@ -126,7 +115,7 @@ void Simulator::lseq_advance(Process& p) {
     f.child = next;
     lenter_behavior(*b.children[next], p);
   }
-  enqueue(p, now_ + cfg_.stmt_cost);
+  enqueue(p, now_ + 1);
 }
 
 template <bool Obs>
@@ -140,11 +129,8 @@ void Simulator::lstep(Process& p) {
       const LBehavior& b = *f.lbehavior;
       if (!f.started) {
         f.started = true;
-        p.behavior_stack.push_back(b.src);
+        p.behavior_stack.push_back(b.id);
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_behavior_start(b.src->name, now_);
-          }
           for (SlotObserver* o : slot_observers_) {
             o->on_behavior_start(b.id, p.id, now_);
           }
@@ -155,7 +141,7 @@ void Simulator::lstep(Process& p) {
             body.kind = Frame::Kind::Block;
             body.lstmts = b.body;
             p.stack.push_back(std::move(body));
-            enqueue(p, now_ + cfg_.stmt_cost);
+            enqueue(p, now_ + 1);
             break;
           }
           case BehaviorKind::Sequential: {
@@ -163,7 +149,7 @@ void Simulator::lstep(Process& p) {
             seq.kind = Frame::Kind::Seq;
             seq.lbehavior = &b;
             p.stack.push_back(std::move(seq));
-            enqueue(p, now_ + cfg_.stmt_cost);
+            enqueue(p, now_ + 1);
             break;
           }
           case BehaviorKind::Concurrent: {
@@ -175,7 +161,7 @@ void Simulator::lstep(Process& p) {
             p.status = Process::Status::Blocked;  // until children join
             for (const LBehavior* c : b.children) {
               Process& cp = spawn(c->src, c, nullptr, &p);
-              enqueue(cp, now_ + cfg_.stmt_cost);
+              enqueue(cp, now_ + 1);
             }
             break;
           }
@@ -183,9 +169,6 @@ void Simulator::lstep(Process& p) {
       } else {
         // Body / children finished: this behavior completes.
         if constexpr (Obs) {
-          for (SimObserver* o : observers_) {
-            o->on_behavior_end(b.src->name, now_);
-          }
           for (SlotObserver* o : slot_observers_) {
             o->on_behavior_end(b.id, p.id, now_);
           }
@@ -198,7 +181,7 @@ void Simulator::lstep(Process& p) {
         } else if (p.stack.back().kind == Frame::Kind::Seq) {
           lseq_advance<Obs>(p);
         } else {
-          enqueue(p, now_ + cfg_.stmt_cost);
+          enqueue(p, now_ + 1);
         }
       }
       break;
@@ -209,7 +192,7 @@ void Simulator::lstep(Process& p) {
         f.started = true;
         f.child = 0;
         lenter_behavior(*f.lbehavior->children[0], p);
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       } else {
         lseq_advance<Obs>(p);
       }
@@ -221,7 +204,7 @@ void Simulator::lstep(Process& p) {
         throw SpecError("internal: conc frame stepped with children running");
       }
       leave_frame(p);
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
 
@@ -234,13 +217,13 @@ void Simulator::lstep(Process& p) {
         } else {
           leave_frame(p);
         }
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       } else if (f.lowner != nullptr && f.lowner->kind == Stmt::Kind::Loop) {
         f.idx = 0;
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       } else {
         leave_frame(p);
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       }
       break;
     }
@@ -252,7 +235,7 @@ void Simulator::lstep(Process& p) {
       for (const auto& [param, dest] : call.lcall_site->out_binds) {
         lwrite<Obs>(dest, call.dlocals[param], p);
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Frame::Kind::Code:
@@ -268,23 +251,21 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
       const uint64_t v = leval<Obs>(s.expr, p);
       lwrite<Obs>(s.target, v, p);
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::SignalAssign: {
       const uint64_t v = leval<Obs>(s.expr, p);
       if constexpr (Obs) {
-        if (!slot_observers_.empty()) {
-          const uint64_t wrapped = signals_.type_of(s.signal).wrap(v);
-          const uint32_t behavior = innermost_behavior_id(p);
-          for (SlotObserver* o : slot_observers_) {
-            o->on_signal_schedule(s.signal, behavior, now_, wrapped);
-          }
+        const uint64_t wrapped = signals_.type_of(s.signal).wrap(v);
+        for (SlotObserver* o : slot_observers_) {
+          o->on_signal_schedule(s.signal, innermost_behavior_id(p), now_,
+                                wrapped);
         }
       }
-      schedule_signal(s.signal, v, now_ + cfg_.signal_delay);
+      schedule_signal(s.signal, v, now_ + 1);
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::If: {
@@ -297,7 +278,7 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
         body.lstmts = blk;
         p.stack.push_back(std::move(body));
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::While: {
@@ -309,7 +290,7 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
         body.lowner = &s;
         p.stack.push_back(std::move(body));
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::Loop: {
@@ -319,13 +300,13 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
       body.lstmts = s.then_block;
       body.lowner = &s;
       p.stack.push_back(std::move(body));
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::Wait: {
       if (leval<Obs>(s.expr, p) != 0) {
         ++f.idx;
-        enqueue(p, now_ + cfg_.stmt_cost);
+        enqueue(p, now_ + 1);
       } else {
         lblock_on(p, s);
       }
@@ -352,7 +333,7 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
       body.kind = Frame::Kind::Block;
       body.lstmts = s.proc->body;
       p.stack.push_back(std::move(body));
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::Break: {
@@ -366,12 +347,12 @@ void Simulator::lexec_stmt(const LStmt& s, Process& p) {
         p.stack.pop_back();
         if (is_loop) break;
       }
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
     case Stmt::Kind::Nop: {
       ++f.idx;
-      enqueue(p, now_ + cfg_.stmt_cost);
+      enqueue(p, now_ + 1);
       break;
     }
   }

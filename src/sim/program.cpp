@@ -19,6 +19,15 @@ using ProcScope = std::unordered_map<std::string, uint32_t>;
 
 }  // namespace
 
+BehaviorNumbering::BehaviorNumbering(const Behavior& top) { add(top); }
+
+void BehaviorNumbering::add(const Behavior& b) {
+  ids_.emplace(&b, size());
+  order_.push_back(&b);
+  if (b.kind == BehaviorKind::Leaf) return;
+  for (const BehaviorPtr& c : b.children) add(*c);
+}
+
 class ProgramCompiler {
  public:
   ProgramCompiler(const Specification& spec, const VarTable& vars,
@@ -52,19 +61,22 @@ class ProgramCompiler {
       lp->body = compile_block(lp->src->body, &proc_scopes_.at(lp.get()));
     }
 
-    prog_->root_ = compile_behavior(*spec_.top);
+    const BehaviorNumbering ids(*spec_.top);
+    prog_->behaviors_.resize(ids.size());
+    prog_->root_ = compile_behavior(*spec_.top, ids);
     prog_->max_stack_ = max_stack_;
     return prog;
   }
 
  private:
-  const LBehavior* compile_behavior(const Behavior& b) {
+  const LBehavior* compile_behavior(const Behavior& b,
+                                    const BehaviorNumbering& ids) {
     auto lb = std::make_unique<LBehavior>();
     LBehavior* out = lb.get();
     out->src = &b;
-    out->id = static_cast<uint32_t>(prog_->behaviors_.size());
+    out->id = ids.id_of(b);
     out->kind = b.kind;
-    prog_->behaviors_.push_back(std::move(lb));
+    prog_->behaviors_[out->id] = std::move(lb);
 
     switch (b.kind) {
       case BehaviorKind::Leaf:
@@ -73,7 +85,7 @@ class ProgramCompiler {
       case BehaviorKind::Sequential:
       case BehaviorKind::Concurrent:
         for (const BehaviorPtr& c : b.children) {
-          out->children.push_back(compile_behavior(*c));
+          out->children.push_back(compile_behavior(*c, ids));
         }
         if (b.kind == BehaviorKind::Sequential) {
           out->child_trans.resize(b.children.size());

@@ -28,12 +28,13 @@
 // final_vars, observable_writes, behavior_completions, blocked) is
 // bit-identical between the two paths; only the per-access cost changes.
 // Source back-pointers (`src`) are retained for diagnostics (blocked-process
-// wait-condition printing) and observer callbacks, which speak names.
+// wait-condition printing).
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "sim/signal_table.h"
@@ -116,7 +117,32 @@ struct LBlock {
   std::vector<LStmt> stmts;
 };
 
-/// Lowered behavior node. `id` is a dense pre-order index, used to count
+/// The dense behavior ids every tier shares: pre-order indices of the
+/// behavior tree (the top behavior is 0, a composite's children follow it
+/// depth-first in declaration order). Program::compile numbers its
+/// LBehaviors from it (the bytecode tier inherits those ids) and the tree
+/// interpreter attributes by it directly, so completion counts and observer
+/// events carry the same ids on all three tiers.
+class BehaviorNumbering {
+ public:
+  explicit BehaviorNumbering(const Behavior& top);
+
+  [[nodiscard]] uint32_t size() const {
+    return static_cast<uint32_t>(order_.size());
+  }
+  [[nodiscard]] const Behavior& behavior(uint32_t id) const {
+    return *order_[id];
+  }
+  [[nodiscard]] uint32_t id_of(const Behavior& b) const { return ids_.at(&b); }
+
+ private:
+  void add(const Behavior& b);
+
+  std::vector<const Behavior*> order_;
+  std::unordered_map<const Behavior*, uint32_t> ids_;
+};
+
+/// Lowered behavior node. `id` comes from BehaviorNumbering, used to count
 /// completions in a flat array instead of a string-keyed map.
 struct LBehavior {
   static constexpr uint32_t kComplete = UINT32_MAX;

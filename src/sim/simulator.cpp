@@ -125,11 +125,13 @@ Simulator::Simulator(const Specification& spec, SimConfig cfg,
     eval_stack_.assign(std::max<uint32_t>(1, bprog_->max_spill_stack()), 0);
     completions_.assign(bprog_->behavior_count(), 0);
     fast_sched_ = true;
-    chain_ok_ = (cfg_.stmt_cost == 1);
     for (FastBucket& b : fast_buckets_) {
       b.runs.reserve(64);
       b.sigs.reserve(64);
     }
+  } else if (spec_.top) {
+    tree_ids_ = std::make_unique<const BehaviorNumbering>(*spec_.top);
+    completions_.assign(tree_ids_->size(), 0);
   }
   sched_active_ =
       cfg_.sched_policy != SchedPolicy::Fifo || cfg_.record_schedule;
@@ -139,7 +141,6 @@ Simulator::Simulator(const Specification& spec, SimConfig cfg,
     // fast buckets don't carry seq numbers and statement chaining skips the
     // scheduler entirely. All three tiers then share identical ready sets.
     fast_sched_ = false;
-    chain_ok_ = false;
     sched_rng_ = cfg_.sched_seed;
   }
   run_q_ = make_queue<RunEvent>(1024);
@@ -166,34 +167,30 @@ void Simulator::reset() {
   ready_.clear();
   sched_trace_.clear();
   raw_writes_.clear();
-  behavior_completions_.clear();
   std::fill(completions_.begin(), completions_.end(), 0);
   seq_counter_ = 0;
   now_ = 0;
   steps_ = 0;
   ran_ = false;
   root_ = nullptr;
-#ifdef SPECSYN_OPCODE_STATS
-  op_counts_.fill(0);
-  op_pair_counts_.fill(0);
-  op_prev_ = kOpStatNone;
-#endif
 }
 
-void Simulator::add_observer(SimObserver* obs) { observers_.push_back(obs); }
-
-void Simulator::clear_observers() {
-  observers_.clear();
-  slot_observers_.clear();
-}
+void Simulator::clear_observers() { slot_observers_.clear(); }
 
 void Simulator::add_slot_observer(SlotObserver* obs) {
-  if (!prog_ && !bprog_) {
-    throw SpecError(
-        "add_slot_observer: slot-indexed observation requires a compiled "
-        "execution tier (SimConfig::exec_tier lowered or bytecode)");
-  }
   slot_observers_.push_back(obs);
+}
+
+const std::string& Simulator::behavior_name(uint32_t id) const {
+  if (prog_) return prog_->behavior_name(id);
+  if (bprog_) return bprog_->behavior_name(id);
+  return tree_ids_->behavior(id).name;
+}
+
+const std::string& Simulator::current_behavior(const Process& p) const {
+  static const std::string kNoBehavior = "<none>";
+  if (p.behavior_stack.empty()) return kNoBehavior;
+  return behavior_name(p.behavior_stack.back());
 }
 
 void Simulator::build_tables() {
@@ -276,9 +273,6 @@ void Simulator::wake_sensitive(size_t signal_idx, uint64_t time) {
 void Simulator::commit_signal(size_t signal, uint64_t value, bool observed) {
   if (!signals_.commit(signal, value)) return;
   if (observed) {
-    for (SimObserver* o : observers_) {
-      o->on_signal_change(signals_.name_of(signal), now_, signals_.get(signal));
-    }
     for (SlotObserver* o : slot_observers_) {
       o->on_signal_commit(static_cast<uint32_t>(signal), now_,
                           signals_.get(signal));
@@ -349,19 +343,15 @@ SimResult Simulator::run() {
   telemetry::Span tm_span("simulate", telemetry::Stability::Stable);
 
   SimResult result;
-  if (!slot_observers_.empty()) {
+  const bool observed = !slot_observers_.empty();
+  if (observed) {
     // Materialize the id-indexed behavior names once; valid for the run.
     bound_names_.clear();
-    if (prog_) {
-      bound_names_.reserve(prog_->behavior_count());
-      for (uint32_t id = 0; id < prog_->behavior_count(); ++id) {
-        bound_names_.push_back(prog_->behavior_name(id));
-      }
-    } else if (bprog_) {
-      bound_names_ = bprog_->behavior_names();
+    bound_names_.reserve(completions_.size());
+    for (uint32_t id = 0; id < completions_.size(); ++id) {
+      bound_names_.push_back(behavior_name(id));
     }
-    const SlotObserver::Binding binding{&vars_, &signals_, prog_.get(),
-                                        &bound_names_, &cfg_};
+    const SlotObserver::Binding binding{&vars_, &signals_, &bound_names_};
     for (SlotObserver* o : slot_observers_) o->on_bind(binding);
   }
   if (spec_.top) {
@@ -372,7 +362,6 @@ SimResult Simulator::run() {
 
   // Pick the stepping variant once — tier, and (for the compiled tiers)
   // observed vs unobserved — so the steady state never re-tests either.
-  const bool observed = !observers_.empty() || !slot_observers_.empty();
   void (Simulator::*step_fn)(Process&) =
       prog_    ? (observed ? &Simulator::lstep<true> : &Simulator::lstep<false>)
       : bprog_ ? (observed ? &Simulator::bstep<true> : &Simulator::bstep<false>)
@@ -462,8 +451,7 @@ SimResult Simulator::run() {
     if (p->status != Process::Status::Blocked) continue;
     BlockedProcess info;
     info.process_id = p->id;
-    info.behavior =
-        p->behavior_stack.empty() ? "<none>" : p->behavior_stack.back()->name;
+    info.behavior = current_behavior(*p);
     info.waiting_on = p->wait_cond != nullptr ? print(*p->wait_cond)
                       : p->bwait != nullptr   ? p->bwait->cond_str
                                               : "<join>";
@@ -476,21 +464,12 @@ SimResult Simulator::run() {
   for (const RawWrite& w : raw_writes_) {
     result.observable_writes.push_back({vars_.name_of(w.var), w.value, w.time});
   }
-  if (prog_ || bprog_) {
-    // Compiled runs count completions per interned behavior id; materialize
-    // the name-keyed map (ids with zero completions have no entry, matching
-    // the legacy map's insert-on-first-completion behavior).
-    const uint32_t n =
-        prog_ ? prog_->behavior_count() : bprog_->behavior_count();
-    for (uint32_t id = 0; id < n; ++id) {
-      if (completions_[id] != 0) {
-        result.behavior_completions.emplace(
-            prog_ ? prog_->behavior_name(id) : bprog_->behavior_name(id),
-            completions_[id]);
-      }
+  // Completions are counted per interned behavior id; ids that never
+  // completed get no entry in the name-keyed map.
+  for (uint32_t id = 0; id < completions_.size(); ++id) {
+    if (completions_[id] != 0) {
+      result.behavior_completions.emplace(behavior_name(id), completions_[id]);
     }
-  } else {
-    result.behavior_completions = behavior_completions_;
   }
   if (telemetry::enabled()) {
     // All three are per-run deterministic: identical inputs yield identical
@@ -498,34 +477,7 @@ SimResult Simulator::run() {
     telemetry::count("sim.runs", telemetry::Stability::Stable, 1);
     telemetry::count("sim.steps", telemetry::Stability::Stable, steps_);
     telemetry::count("sim.cycles", telemetry::Stability::Stable, now_);
-#ifdef SPECSYN_OPCODE_STATS
-    static_assert(kBOpCount <= 64);
-    for (uint8_t i = 0; i < kBOpCount; ++i) {
-      if (op_counts_[i] != 0) {
-        telemetry::count(std::string("bc.op.") + bop_name(BOp{i}),
-                         telemetry::Stability::Stable, op_counts_[i]);
-      }
-    }
-    for (uint16_t p = 0; p < kBOpCount; ++p) {
-      for (uint16_t c = 0; c < kBOpCount; ++c) {
-        const uint64_t n = op_pair_counts_[p * 64u + c];
-        if (n != 0) {
-          telemetry::count(std::string("bc.pair.") +
-                               bop_name(BOp{static_cast<uint8_t>(p)}) + ">" +
-                               bop_name(BOp{static_cast<uint8_t>(c)}),
-                           telemetry::Stability::Stable, n);
-        }
-      }
-    }
-#endif
   }
-#ifdef SPECSYN_OPCODE_STATS
-  // Cleared unconditionally so pooled construct-once/reset() reuse starts
-  // every run from zero whether or not the last run flushed.
-  op_counts_.fill(0);
-  op_pair_counts_.fill(0);
-  op_prev_ = kOpStatNone;
-#endif
   return result;
 }
 

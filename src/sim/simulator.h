@@ -2,12 +2,11 @@
 //
 // Semantics:
 //   * Every process executes one statement per scheduling step; a statement
-//     costs `SimConfig::stmt_cost` cycles (default 1), `delay N` costs N.
-//   * Signal assignments (`<=`) are scheduled and become visible
-//     `signal_delay` cycles later (default 1) — never within the statement
-//     that issued them. Commits at time T precede process steps at T, so
-//     with the default costs the immediately following statement already
-//     observes the new value.
+//     costs one cycle, `delay N` costs N.
+//   * Signal assignments (`<=`) are scheduled and become visible one cycle
+//     later — never within the statement that issued them. Commits at time T
+//     precede process steps at T, so the immediately following statement
+//     already observes the new value.
 //   * `wait c` blocks until c evaluates nonzero; blocked processes are
 //     re-evaluated whenever a signal named in c changes value.
 //   * A Sequential composite runs children per its transition arcs; a
@@ -23,7 +22,6 @@
 // the input).
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -82,10 +80,6 @@ bool parse_sched_policy(const std::string& name, SchedPolicy* out);
 const char* sched_policy_name(SchedPolicy p);
 
 struct SimConfig {
-  /// Cycles consumed by one executed statement.
-  uint64_t stmt_cost = 1;
-  /// Cycles until a scheduled signal assignment becomes visible.
-  uint64_t signal_delay = 1;
   /// Hard stop; a run reaching it reports Status::MaxCycles.
   uint64_t max_cycles = 50'000'000;
   /// Clock frequency used when converting cycles to seconds in reports.
@@ -112,74 +106,53 @@ struct SimConfig {
   bool record_schedule = false;
 };
 
-/// Observation callbacks. All strings are the spec-unique object names.
-/// `behavior` is the innermost active behavior of the acting process
-/// (transition-guard evaluation reports the composite itself).
-class SimObserver {
- public:
-  virtual ~SimObserver() = default;
-  virtual void on_var_read(const std::string& var, const std::string& behavior,
-                           uint64_t time) {
-    (void)var; (void)behavior; (void)time;
-  }
-  virtual void on_var_write(const std::string& var, const std::string& behavior,
-                            uint64_t time, uint64_t value) {
-    (void)var; (void)behavior; (void)time; (void)value;
-  }
-  virtual void on_behavior_start(const std::string& behavior, uint64_t time) {
-    (void)behavior; (void)time;
-  }
-  virtual void on_behavior_end(const std::string& behavior, uint64_t time) {
-    (void)behavior; (void)time;
-  }
-  virtual void on_signal_change(const std::string& signal, uint64_t time,
-                                uint64_t value) {
-    (void)signal; (void)time; (void)value;
-  }
-};
-
-class Program;
-
-/// Slot-indexed observation callbacks, the fast seam under `src/obs/`.
+/// Observation callbacks, fired identically by all three execution tiers.
 ///
-/// Unlike SimObserver (whose callbacks speak spec-unique *names* and fire
-/// from both interpreters), a SlotObserver receives dense slot indices and
-/// interned behavior ids and resolves them against the simulator's tables
-/// exactly once, in on_bind — names are materialized only when a report or
-/// trace is exported. Slot callbacks are fired by the lowered and bytecode
-/// interpreters (and the kernel's signal-commit loop), so attaching one
-/// requires a slot-indexed tier; add_slot_observer throws under
-/// ExecTier::Tree. Attaching any observer of either kind selects the observed
-/// stepping variant for the whole run — an unobserved run still contains no
+/// Events carry dense slot indices (VarTable / SignalTable) and interned
+/// behavior ids — pre-order indices of the behavior tree (BehaviorNumbering
+/// in sim/program.h), the same on every tier. An observer resolves them
+/// against the tables exactly once, in on_bind, so names are materialized
+/// only when a report or trace is exported. `behavior` is the innermost
+/// active behavior of the acting process (transition-guard evaluation
+/// reports the composite itself). Attaching an observer selects the observed
+/// stepping variant for the whole run — an unobserved run contains no
 /// observer dispatch at all.
 class SlotObserver {
  public:
   virtual ~SlotObserver() = default;
 
   /// Slot/id authorities, valid for the whole run. `behavior_names` is never
-  /// null and is indexed by interned behavior id; `prog` is the lowered plan
-  /// when one exists and null under the bytecode tier.
+  /// null and is indexed by interned behavior id.
   struct Binding {
     const VarTable* vars = nullptr;
     const SignalTable* signals = nullptr;
-    const Program* prog = nullptr;
     const std::vector<std::string>* behavior_names = nullptr;
-    const SimConfig* cfg = nullptr;
   };
 
   /// Called once at the start of run(), before any event fires.
   virtual void on_bind(const Binding& b) { (void)b; }
 
-  /// A signal update committed by the kernel and *visibly changed* (same
-  /// edge discipline as SimObserver::on_signal_change). `value` is wrapped.
+  /// A read of spec variable `slot` (procedure locals and signals are not
+  /// reported).
+  virtual void on_var_read(uint32_t slot, uint32_t behavior, uint64_t time) {
+    (void)slot; (void)behavior; (void)time;
+  }
+
+  /// A write to spec variable `slot`; `value` is the stored (wrapped) value.
+  virtual void on_var_write(uint32_t slot, uint32_t behavior, uint64_t time,
+                            uint64_t value) {
+    (void)slot; (void)behavior; (void)time; (void)value;
+  }
+
+  /// A signal update committed by the kernel that *visibly changed* the
+  /// signal (re-committing the current value is silent). `value` is wrapped.
   virtual void on_signal_commit(uint32_t slot, uint64_t time, uint64_t value) {
     (void)slot; (void)time; (void)value;
   }
 
   /// A `<=` signal assignment executed by a process — fires at schedule
-  /// time (the commit lands `signal_delay` later and may be absorbed by an
-  /// equal value). `behavior` is the interned id of the innermost active
-  /// behavior; this is what attributes a bus handshake to its master.
+  /// time (the commit lands one cycle later and may be absorbed by an equal
+  /// value). This is what attributes a bus handshake to its master.
   virtual void on_signal_schedule(uint32_t slot, uint32_t behavior,
                                   uint64_t time, uint64_t value) {
     (void)slot; (void)behavior; (void)time; (void)value;
@@ -271,6 +244,7 @@ struct BBehavior;
 struct BWaitSite;
 struct BTarget;
 
+class BehaviorNumbering;
 class ProgramCache;
 struct CachedProgram;
 
@@ -287,16 +261,12 @@ class Simulator {
   Simulator& operator=(const Simulator&) = delete;
   ~Simulator();
 
-  /// Observers are borrowed; they must outlive run().
-  void add_observer(SimObserver* obs);
-
-  /// Slot-indexed observers (src/obs/). Requires a slot-indexed tier —
-  /// throws SpecError when the simulator was built with ExecTier::Tree.
+  /// Observers are borrowed; they must outlive run(). Every tier fires them.
   void add_slot_observer(SlotObserver* obs);
 
-  /// Detaches every registered observer (both kinds). Pooled simulators that
-  /// reset() between runs use this to attach a fresh per-run observer
-  /// without accumulating dangling pointers to destroyed ones.
+  /// Detaches every registered observer. Pooled simulators that reset()
+  /// between runs use this to attach a fresh per-run observer without
+  /// accumulating dangling pointers to destroyed ones.
   void clear_observers();
 
   /// Runs to quiescence (or max_cycles). May be called once per run; call
@@ -330,7 +300,7 @@ class Simulator {
   /// whole hot path (event loop, frame dispatch, VM) is one translation unit.
   template <bool Obs> void run_fast_loop(SimResult& result);
 
-  // legacy interpreter (interp.cpp): resolves names at execution time
+  // tree interpreter (interp.cpp): resolves names at execution time
   void step(Process& p);
   uint64_t eval(const Expr& e, Process& p);
   uint64_t read_name(const std::string& name, Process& p);
@@ -352,6 +322,8 @@ class Simulator {
   void lenter_behavior(const LBehavior& b, Process& p);
   void lblock_on(Process& p, const LStmt& s);
   Frame& innermost_call(Process& p);
+  /// Interned id of p's innermost active behavior (UINT32_MAX before its
+  /// first behavior starts) — the attribution observer events carry.
   static uint32_t innermost_behavior_id(const Process& p);
 
   // bytecode interpreter (interp_bytecode.cpp): runs the flat BytecodeProgram
@@ -368,8 +340,8 @@ class Simulator {
   /// inline (retiring a pending commit instant if one is due), and returns
   /// true so the VM keeps executing without a scheduler round-trip.
   template <bool Obs> bool chain_advance();
-  /// Re-arms p for its next step at now_ + stmt_cost; under chain_ok_ this is
-  /// a direct fb_next_ push with no enqueue call.
+  /// Re-arms p for its next step at now_ + 1; under fast_sched_ this is a
+  /// direct fb_next_ push with no enqueue call.
   void rearm_step(Process& p);
   /// O(1) innermost-call lookup off Process::call_idx (bytecode tier).
   Frame& bcall_frame(Process& p);
@@ -378,11 +350,13 @@ class Simulator {
   void benter_behavior(const BBehavior& b, Process& p);
   void bblock_on(Process& p, const BWaitSite& site);
 
+  /// Name of an interned behavior id, on any tier.
+  const std::string& behavior_name(uint32_t id) const;
+  /// Name of p's innermost active behavior ("<none>" before it starts one).
   const std::string& current_behavior(const Process& p) const;
 
   const Specification& spec_;
   SimConfig cfg_;
-  std::vector<SimObserver*> observers_;
   std::vector<SlotObserver*> slot_observers_;
 
   VarTable vars_;
@@ -399,17 +373,19 @@ class Simulator {
   /// Scratch value stack for leval (lowered; sized to max_eval_stack) and
   /// for the bytecode tier's EvalSpill path (sized to max_spill_stack).
   std::vector<uint64_t> eval_stack_;
-  /// Per-behavior-id completion counts (slot-indexed tiers; the legacy path
-  /// counts into behavior_completions_ directly).
+  /// Per-behavior-id completion counts.
   std::vector<uint64_t> completions_;
+  /// Behavior ids of the tree tier (null under the compiled tiers, whose
+  /// programs carry the same ids).
+  std::unique_ptr<const BehaviorNumbering> tree_ids_;
 
   /// Bytecode tier state (null/empty under the other tiers).
   std::shared_ptr<const BytecodeProgram> bprog_;
   const BInstr* bcode_ = nullptr;     // cached bprog_->code().data()
   std::vector<uint64_t> regs_;        // register file (kMaxRegs slots)
   std::vector<uint64_t> staging_;     // pending call in-args, by param slot
-  /// Behavior names indexed by interned id, materialized once for the
-  /// SlotObserver binding (valid for every slot-indexed tier).
+  /// Behavior names indexed by interned id, materialized once per run for
+  /// the SlotObserver binding.
   std::vector<std::string> bound_names_;
 
   std::vector<std::unique_ptr<Process>> processes_;
@@ -436,12 +412,12 @@ class Simulator {
       sig_q_;
 
   // Bytecode-tier fast scheduler: almost every event lands at now_ (wakes,
-  // joins) or now_ + 1 (the default stmt_cost / signal_delay), so those two
+  // joins) or now_ + 1 (every statement step and signal commit), so those two
   // instants get plain FIFO vectors and the priority queues above serve only
-  // as far-future overflow (multi-cycle delays, non-default costs). Ordering
-  // stays exact: for any instant T, overflow events were necessarily
-  // scheduled at earlier simulation times than bucket events — smaller seq —
-  // so draining overflow-first preserves the global (time, seq) order.
+  // as far-future overflow (multi-cycle delays). Ordering stays exact: for
+  // any instant T, overflow events were necessarily scheduled at earlier
+  // simulation times than bucket events — smaller seq — so draining
+  // overflow-first preserves the global (time, seq) order.
   struct FastSig {
     uint32_t signal;
     uint64_t value;
@@ -455,7 +431,10 @@ class Simulator {
       sigs.clear();
     }
   };
-  bool fast_sched_ = false;  // set iff running the bytecode tier
+  /// Set iff the bytecode tier runs without a schedule policy. Every
+  /// successful statement then re-arms into fb_next_, which is what lets the
+  /// VM chain statements (and inline the re-arm push).
+  bool fast_sched_ = false;
   FastBucket fast_buckets_[2];
   FastBucket* fb_cur_ = &fast_buckets_[0];   // events at now_
   FastBucket* fb_next_ = &fast_buckets_[1];  // events at now_ + 1
@@ -464,10 +443,6 @@ class Simulator {
   /// chain (interp_bytecode.cpp) reads it to prove the current process is
   /// the last pending step of the instant.
   uint32_t fb_run_next_ = 0;
-  /// True iff stmt_cost == 1 under the fast scheduler: every successful
-  /// statement re-arms into fb_next_, which is what lets the VM chain
-  /// statements (and inline the re-arm push) without consulting the config.
-  bool chain_ok_ = false;
 
   // Schedule-policy state. sched_active_ is set iff the run permutes or
   // records pick order (non-Fifo policy or record_schedule); it forces the
@@ -486,19 +461,6 @@ class Simulator {
   uint64_t steps_ = 0;
   bool ran_ = false;
 
-#ifdef SPECSYN_OPCODE_STATS
-  // Bytecode opcode / opcode-pair execution counts (the profile that picked
-  // the current superinstructions and will drive future re-fusion). Behind a
-  // compile-time flag because the VM pays for the counting on every dispatch
-  // once it's compiled in. Sized 64 rather than kBOpCount so simulator.h
-  // doesn't need bytecode.h; interp_bytecode.cpp static_asserts the fit.
-  // Flushed into the telemetry registry (and cleared) at the end of run().
-  std::array<uint64_t, 64> op_counts_{};
-  std::array<uint64_t, 64 * 64> op_pair_counts_{};
-  uint8_t op_prev_ = kOpStatNone;
-  static constexpr uint8_t kOpStatNone = 255;
-#endif
-
   // blocked-on-wait bookkeeping, indexed by signal slot
   std::vector<std::vector<Process*>> waiters_;
 
@@ -513,7 +475,6 @@ class Simulator {
     uint64_t time;
   };
   std::vector<RawWrite> raw_writes_;
-  std::map<std::string, uint64_t> behavior_completions_;
   Process* root_ = nullptr;
 };
 

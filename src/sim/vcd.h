@@ -7,7 +7,7 @@
 //
 //   Simulator sim(refined);
 //   VcdRecorder vcd(refined);
-//   sim.add_observer(&vcd);
+//   sim.add_slot_observer(&vcd);
 //   sim.run();
 //   std::ofstream("waves.vcd") << vcd.str();
 #pragma once
@@ -16,6 +16,7 @@
 #include <map>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "sim/simulator.h"
 
@@ -28,15 +29,15 @@ struct VcdOptions {
   bool include_observables = true;
 };
 
-class VcdRecorder : public SimObserver {
+class VcdRecorder : public SlotObserver {
  public:
   /// Registers all signals (and observable variables) of `spec`.
   explicit VcdRecorder(const Specification& spec, VcdOptions opts = {});
 
-  void on_signal_change(const std::string& signal, uint64_t time,
-                        uint64_t value) override;
-  void on_var_write(const std::string& var, const std::string& behavior,
-                    uint64_t time, uint64_t value) override;
+  void on_bind(const Binding& b) override;
+  void on_signal_commit(uint32_t slot, uint64_t time, uint64_t value) override;
+  void on_var_write(uint32_t slot, uint32_t behavior, uint64_t time,
+                    uint64_t value) override;
 
   /// Complete VCD document (header + dump). Call after the run.
   [[nodiscard]] std::string str() const;
@@ -51,12 +52,16 @@ class VcdRecorder : public SimObserver {
     bool has_value = false;
   };
 
-  void record(const std::string& name, uint64_t time, uint64_t value);
+  void record(Wire* w, uint64_t time, uint64_t value);
   void emit_time(uint64_t time);
   static std::string make_id(size_t n);
 
   VcdOptions opts_;
   std::map<std::string, Wire> wires_;
+  /// Wire of each signal / variable slot (null when not dumped), resolved
+  /// once at on_bind.
+  std::vector<Wire*> signal_wires_;
+  std::vector<Wire*> var_wires_;
   std::ostringstream header_;
   std::ostringstream body_;
   uint64_t last_time_ = UINT64_MAX;

@@ -160,10 +160,11 @@ TEST(ProgramCache, SimConfigChangeMisses) {
   const Specification spec = testing::abc_spec(2);
   ProgramCache cache;
   SimConfig cfg;
+  cfg.exec_tier = ExecTier::Lowered;
   { Simulator s(spec, cfg, &cache); }
-  SimConfig slower = cfg;
-  slower.stmt_cost = 3;  // cost model is baked into the compiled plan
-  { Simulator s(spec, slower, &cache); }
+  SimConfig bytecode = cfg;
+  bytecode.exec_tier = ExecTier::Bytecode;  // the tier is part of the key
+  { Simulator s(spec, bytecode, &cache); }
   EXPECT_EQ(cache.stats().misses, 2u);
   EXPECT_EQ(cache.stats().hits, 0u);
   EXPECT_EQ(cache.size(), 2u);

@@ -22,11 +22,11 @@ namespace specsyn {
 namespace {
 
 SimResult simulate(const Specification& spec, ExecTier tier,
-                   SimObserver* obs = nullptr) {
+                   SlotObserver* obs = nullptr) {
   SimConfig cfg;
   cfg.exec_tier = tier;
   Simulator sim(spec, cfg);
-  if (obs != nullptr) sim.add_observer(obs);
+  if (obs != nullptr) sim.add_slot_observer(obs);
   return sim.run();
 }
 
@@ -117,38 +117,59 @@ TEST(LoweringDifferential, ExampleSpecFiles) {
   }
 }
 
-// Records every observer callback as a printable line so whole streams can
-// be compared; proves the compiled observer fast paths fire the same events
-// at the same times in the same order.
-class RecordingObserver : public SimObserver {
+// Records every observer callback as a printable line (slots and ids
+// resolved to names through the binding) so whole streams can be compared;
+// proves the compiled observer fast paths fire the same events at the same
+// times in the same order as the tree interpreter, the reference.
+class RecordingObserver : public SlotObserver {
  public:
-  void on_var_read(const std::string& var, const std::string& behavior,
-                   uint64_t time) override {
-    add("read", var, behavior, time, 0);
+  void on_bind(const Binding& b) override { binding_ = b; }
+  void on_var_read(uint32_t slot, uint32_t behavior, uint64_t time) override {
+    add("read", var(slot), name(behavior), time, 0);
   }
-  void on_var_write(const std::string& var, const std::string& behavior,
-                    uint64_t time, uint64_t value) override {
-    add("write", var, behavior, time, value);
+  void on_var_write(uint32_t slot, uint32_t behavior, uint64_t time,
+                    uint64_t value) override {
+    add("write", var(slot), name(behavior), time, value);
   }
-  void on_behavior_start(const std::string& behavior, uint64_t time) override {
-    add("start", behavior, "", time, 0);
+  void on_behavior_start(uint32_t behavior, uint64_t process,
+                         uint64_t time) override {
+    add("start", name(behavior), std::to_string(process), time, 0);
   }
-  void on_behavior_end(const std::string& behavior, uint64_t time) override {
-    add("end", behavior, "", time, 0);
+  void on_behavior_end(uint32_t behavior, uint64_t process,
+                       uint64_t time) override {
+    add("end", name(behavior), std::to_string(process), time, 0);
   }
-  void on_signal_change(const std::string& signal, uint64_t time,
+  void on_signal_commit(uint32_t slot, uint64_t time,
                         uint64_t value) override {
-    add("signal", signal, "", time, value);
+    add("signal", binding_.signals->name_of(slot), "", time, value);
+  }
+  void on_signal_schedule(uint32_t slot, uint32_t behavior, uint64_t time,
+                          uint64_t value) override {
+    add("schedule", binding_.signals->name_of(slot), name(behavior), time,
+        value);
+  }
+  void on_run_end(uint64_t end_time) override {
+    add("end-of-run", "", "", end_time, 0);
   }
 
   std::vector<std::string> events;
 
  private:
+  std::string var(uint32_t slot) const {
+    return binding_.vars->name_of(slot);
+  }
+  std::string name(uint32_t behavior) const {
+    return behavior < binding_.behavior_names->size()
+               ? (*binding_.behavior_names)[behavior]
+               : "<none>";
+  }
   void add(const char* kind, const std::string& a, const std::string& b,
            uint64_t time, uint64_t value) {
     events.push_back(std::string(kind) + " " + a + " " + b + " @" +
                      std::to_string(time) + " = " + std::to_string(value));
   }
+
+  Binding binding_;
 };
 
 TEST(LoweringDifferential, ObserverStreamsIdentical) {

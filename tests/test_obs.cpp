@@ -173,15 +173,6 @@ TEST(BusTracer, DoesNotPerturbSimulation) {
   EXPECT_EQ(run.result.final_vars, expect.final_vars);
 }
 
-TEST(BusTracer, RequiresLowering) {
-  const Specification m1 = refined_medical(ImplModel::Model1);
-  BusTracer t(m1);
-  SimConfig cfg;
-  cfg.exec_tier = ExecTier::Tree;
-  Simulator sim(m1, cfg);
-  EXPECT_THROW(sim.add_slot_observer(&t), SpecError);
-}
-
 TEST(Metrics, ReportMatchesTracer) {
   TracedRun run(refined_medical(ImplModel::Model1));
   const MetricsReport m = MetricsReport::from(run.tracer);
@@ -200,30 +191,45 @@ TEST(Metrics, ReportMatchesTracer) {
   }
 }
 
+// Metrics JSON and Chrome trace of one traced run of `spec` on `tier`.
+std::pair<std::string, std::string> traced_outputs(const Specification& spec,
+                                                   ExecTier tier) {
+  SimConfig cfg;
+  cfg.exec_tier = tier;
+  BusTracer tracer(spec);
+  TraceExporter exporter(100e6);
+  Simulator sim(spec, cfg);
+  sim.add_slot_observer(&tracer);
+  sim.add_slot_observer(&exporter);
+  sim.run();
+  return {MetricsReport::from(tracer).to_json(),
+          exporter.to_chrome_json(&tracer)};
+}
+
 // The observed bytecode path: a tracer attached under the bytecode tier must
 // see the identical commit/schedule stream as the lowered tier (same slots,
 // same interned behavior ids), so metrics and exported traces match
-// byte-for-byte. Also guards the Binding contract — b.prog is null under
-// bytecode and observers must not read through it (this once segfaulted).
+// byte-for-byte.
 TEST(BusTracer, BytecodeTierMatchesLowered) {
   const Specification m1 = refined_medical(ImplModel::Model1);
-  auto run_tier = [&](ExecTier tier) {
-    SimConfig cfg;
-    cfg.exec_tier = tier;
-    BusTracer tracer(m1);
-    TraceExporter exporter(100e6);
-    Simulator sim(m1, cfg);
-    sim.add_slot_observer(&tracer);
-    sim.add_slot_observer(&exporter);
-    sim.run();
-    return std::pair<std::string, std::string>(
-        MetricsReport::from(tracer).to_json(),
-        exporter.to_chrome_json(&tracer));
-  };
-  const auto lowered = run_tier(ExecTier::Lowered);
-  const auto bytecode = run_tier(ExecTier::Bytecode);
+  const auto lowered = traced_outputs(m1, ExecTier::Lowered);
+  const auto bytecode = traced_outputs(m1, ExecTier::Bytecode);
   EXPECT_EQ(lowered.first, bytecode.first);
   EXPECT_EQ(lowered.second, bytecode.second);
+}
+
+// The tree interpreter fires the same slot events with the same behavior
+// ids (one shared BehaviorNumbering), so tracing works on every tier.
+TEST(BusTracer, TreeTierMatchesBytecode) {
+  for (ImplModel model : {ImplModel::Model1, ImplModel::Model2,
+                          ImplModel::Model4}) {
+    const Specification spec = refined_medical(model);
+    const auto tree = traced_outputs(spec, ExecTier::Tree);
+    const auto bytecode = traced_outputs(spec, ExecTier::Bytecode);
+    EXPECT_NE(tree.first.find("\"transfers\""), std::string::npos);
+    EXPECT_EQ(tree.first, bytecode.first);
+    EXPECT_EQ(tree.second, bytecode.second);
+  }
 }
 
 TEST(Metrics, TableAndJsonRender) {

@@ -325,18 +325,15 @@ TEST(Sim, RunTwiceThrows) {
 }
 
 TEST(Sim, ObserverSeesEvents) {
-  struct Counter : SimObserver {
+  struct Counter : SlotObserver {
     int reads = 0, writes = 0, starts = 0, ends = 0, sig_changes = 0;
-    void on_var_read(const std::string&, const std::string&, uint64_t) override {
-      ++reads;
-    }
-    void on_var_write(const std::string&, const std::string&, uint64_t,
-                      uint64_t) override {
+    void on_var_read(uint32_t, uint32_t, uint64_t) override { ++reads; }
+    void on_var_write(uint32_t, uint32_t, uint64_t, uint64_t) override {
       ++writes;
     }
-    void on_behavior_start(const std::string&, uint64_t) override { ++starts; }
-    void on_behavior_end(const std::string&, uint64_t) override { ++ends; }
-    void on_signal_change(const std::string&, uint64_t, uint64_t) override {
+    void on_behavior_start(uint32_t, uint64_t, uint64_t) override { ++starts; }
+    void on_behavior_end(uint32_t, uint64_t, uint64_t) override { ++ends; }
+    void on_signal_commit(uint32_t, uint64_t, uint64_t) override {
       ++sig_changes;
     }
   };
@@ -346,7 +343,7 @@ TEST(Sim, ObserverSeesEvents) {
                        {var("x"), var("y")}, {signal("sg")});
   Counter c;
   Simulator sim(s);
-  sim.add_observer(&c);
+  sim.add_slot_observer(&c);
   (void)sim.run();
   EXPECT_EQ(c.reads, 2);
   EXPECT_EQ(c.writes, 2);
@@ -356,17 +353,19 @@ TEST(Sim, ObserverSeesEvents) {
 }
 
 TEST(Sim, AttributionReportsInnermostBehavior) {
-  struct Attr : SimObserver {
+  struct Attr : SlotObserver {
+    const std::vector<std::string>* names = nullptr;
     std::vector<std::string> writers;
-    void on_var_write(const std::string&, const std::string& b, uint64_t,
+    void on_bind(const Binding& b) override { names = b.behavior_names; }
+    void on_var_write(uint32_t, uint32_t behavior, uint64_t,
                       uint64_t) override {
-      writers.push_back(b);
+      writers.push_back(names->at(behavior));
     }
   };
   Specification s = testing::abc_spec(3);
   Attr a;
   Simulator sim(s);
-  sim.add_observer(&a);
+  sim.add_slot_observer(&a);
   (void)sim.run();
   ASSERT_EQ(a.writers.size(), 2u);  // A writes x, B writes r
   EXPECT_EQ(a.writers[0], "A");

@@ -72,9 +72,9 @@ TEST(SimEdge, RedundantSignalCommitDoesNotWake) {
   // already missed it stays blocked when 1 is re-committed... but here we
   // verify the subtler contract: committing an unchanged value produces no
   // signal-change notification.
-  struct Counter : SimObserver {
+  struct Counter : SlotObserver {
     int changes = 0;
-    void on_signal_change(const std::string&, uint64_t, uint64_t) override {
+    void on_signal_commit(uint32_t, uint64_t, uint64_t) override {
       ++changes;
     }
   };
@@ -85,7 +85,7 @@ TEST(SimEdge, RedundantSignalCommitDoesNotWake) {
                           set("sg", 0)));
   Counter c;
   Simulator sim(s);
-  sim.add_observer(&c);
+  sim.add_slot_observer(&c);
   (void)sim.run();
   EXPECT_EQ(c.changes, 2);  // 0->1, 1->0; the redundant set is silent
 }

@@ -20,7 +20,7 @@ TEST(Vcd, HeaderDeclaresSignalsAndObservables) {
   s.top = leaf("T", block(set("go", 1), assign("x", lit(3))));
   VcdRecorder vcd(s);
   Simulator sim(s);
-  sim.add_observer(&vcd);
+  sim.add_slot_observer(&vcd);
   (void)sim.run();
   const std::string out = vcd.str();
   EXPECT_NE(out.find("$timescale 1 ns $end"), std::string::npos);
@@ -39,7 +39,7 @@ TEST(Vcd, RecordsChangesWithTimestamps) {
   s.top = leaf("T", block(set("go", 1), delay(5), set("go", 0)));
   VcdRecorder vcd(s);
   Simulator sim(s);
-  sim.add_observer(&vcd);
+  sim.add_slot_observer(&vcd);
   (void)sim.run();
   EXPECT_EQ(vcd.change_count(), 2u);  // 0->1, 1->0
   const std::string out = vcd.str();
@@ -58,7 +58,7 @@ TEST(Vcd, MultiBitValuesInBinary) {
   s.top = leaf("T", block(sassign("bus", lit(0xA5))));
   VcdRecorder vcd(s);
   Simulator sim(s);
-  sim.add_observer(&vcd);
+  sim.add_slot_observer(&vcd);
   (void)sim.run();
   EXPECT_NE(vcd.str().find("b10100101 "), std::string::npos);
 }
@@ -75,7 +75,7 @@ TEST(Vcd, RefinedSpecProducesBusWaveforms) {
   RefineResult r = refine(part, g, cfg);
   VcdRecorder vcd(r.refined);
   Simulator sim(r.refined);
-  sim.add_observer(&vcd);
+  sim.add_slot_observer(&vcd);
   (void)sim.run();
   EXPECT_GT(vcd.change_count(), 20u);  // handshakes toggle a lot
   EXPECT_NE(vcd.str().find("gbus_start"), std::string::npos);

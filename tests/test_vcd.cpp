@@ -35,7 +35,7 @@ struct Recorded {
   explicit Recorded(const Specification& spec, VcdOptions opts = {})
       : rec(spec, std::move(opts)) {
     Simulator sim(spec, SimConfig{});
-    sim.add_observer(&rec);
+    sim.add_slot_observer(&rec);
     sim.run();
   }
 };

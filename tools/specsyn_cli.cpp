@@ -23,8 +23,7 @@
 //   --clock-hz HZ          nominal clock for cycle->time conversion (100e6)
 //   --vcd FILE             dump a VCD waveform of every signal
 //   --exec-tier T          execution tier: tree | lowered | bytecode
-//                          (default lowered, or $SPECSYN_EXEC_TIER;
-//                          slot-indexed tracing requires a compiled tier)
+//                          (default lowered, or $SPECSYN_EXEC_TIER)
 //   --sched-policy P       ready-set tie-break policy: fifo | random | replay
 //   --sched-seed N         seed for --sched-policy random
 //   --replay-witness W     replay a schedule witness ("picks:1,0,2" or
@@ -165,8 +164,8 @@ simulate options:
   --exec-tier T          execution tier: tree (legacy tree-walking), lowered
                          (flattened statement plans), or bytecode (threaded
                          register bytecode). Default lowered, overridable
-                         via $SPECSYN_EXEC_TIER. Slot-indexed tracing
-                         (--trace/--metrics) requires a compiled tier.
+                         via $SPECSYN_EXEC_TIER. Every output is
+                         byte-identical across tiers.
   --sched-policy P       ready-set tie-break policy when several processes
                          are runnable at the same instant: fifo (default,
                          event order), random (seeded shuffle), replay
@@ -633,7 +632,7 @@ int cmd_simulate(const Args& a, const Specification& spec) {
   std::unique_ptr<VcdRecorder> vcd;
   if (!a.vcd_file.empty()) {
     vcd = std::make_unique<VcdRecorder>(spec);
-    sim.add_observer(vcd.get());
+    sim.add_slot_observer(vcd.get());
   }
   std::unique_ptr<BusTracer> tracer;
   std::unique_ptr<TraceExporter> exporter;
