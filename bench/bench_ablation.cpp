@@ -73,7 +73,7 @@ int main() {
       (void)again;
     }, 3);
     t.rows.push_back({row.label,
-                      std::to_string(count_lines(print(r.refined))),
+                      std::to_string(count_lines(r.refined)),
                       std::to_string(r.stats.arbiters),
                       std::to_string(r.stats.generated_procs),
                       std::to_string(res.end_time), fmt(ms, 2),

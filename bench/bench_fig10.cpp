@@ -25,12 +25,21 @@ const char* kPaperRows[3][4] = {
     {"3057/37s", "2743/34s", "2630/33s", "2985/37s"},
     {"3057/37s", "3032/37s", "2635/37s", "4324/39s"},
 };
+// This printer's exact sizes: the input and the 3 designs x Model1-4. The
+// ordinal checks alone would pass a counter that is off by a line per
+// statement, or a refiner that drops a whole protocol site.
+constexpr size_t kOriginalLines = 104;
+constexpr size_t kRefinedLines[3][4] = {
+    {1451, 1327, 1209, 1611},
+    {1409, 1217, 1143, 1585},
+    {1451, 1445, 1221, 1563},
+};
 }  // namespace
 
 int main() {
   Specification spec = make_medical_system();
   AccessGraph graph = build_access_graph(spec);
-  const size_t orig_lines = count_lines(print(spec));
+  const size_t orig_lines = count_lines(spec);
 
   std::printf("Figure 10 reproduction: refined spec size and refinement time\n");
   std::printf("original specification: %zu lines (paper: 226)\n", orig_lines);
@@ -45,7 +54,7 @@ int main() {
       RefineConfig cfg;
       cfg.model = all_models()[mi];
       RefineResult result = refine(d.partition, graph, cfg);
-      const size_t n = count_lines(print(result.refined));
+      const size_t n = count_lines(result.refined);
       const double ms = time_ms([&] {
         RefineResult r2 = refine(d.partition, graph, cfg);
         (void)r2;
@@ -67,8 +76,14 @@ int main() {
     std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
     (ok ? pass : fail) += 1;
   };
+  check(orig_lines == kOriginalLines, "original specification is 104 lines");
   size_t model3_strictly_smallest = 0;
   for (int d = 1; d <= 3; ++d) {
+    bool exact = true;
+    for (size_t mi = 0; mi < 4; ++mi) {
+      exact &= lines[d][mi] == kRefinedLines[d - 1][mi];
+    }
+    check(exact, "refined sizes match this printer's Figure 10 row");
     check(lines[d][0] >= 4 * orig_lines,
           "refined spec around an order of magnitude larger than input");
     // Model3 needs no per-site bus acquisition (dedicated buses): smallest,

@@ -43,7 +43,7 @@ int main() {
       Simulator sim(r.refined);
       SimResult res = sim.run();
       BusRateReport rates = bus_rates(prof, d.partition, r.plan, 100e6);
-      const size_t lines = count_lines(print(r.refined));
+      const size_t lines = count_lines(r.refined);
       cells[{static_cast<int>(m), static_cast<int>(ps)}] = {res.end_time,
                                                             lines};
       t.rows.push_back({to_string(m), to_string(ps),

@@ -88,7 +88,7 @@ int main() {
                         std::to_string(count_behaviors_matching(r.refined,
                                                                 "_NEW")),
                         std::to_string(r.stats.control_signals),
-                        std::to_string(count_lines(print(r.refined))),
+                        std::to_string(count_lines(r.refined)),
                         rep.equivalent ? "yes" : "NO"});
     }
     t.print("E3 control-related refinement (Figure 4(b) vs 4(c))");
@@ -107,7 +107,7 @@ int main() {
                         std::to_string(count_behaviors_matching(r.refined,
                                                                 "_fetch")),
                         std::to_string(count_tmp_vars(r.refined)),
-                        std::to_string(count_lines(print(r.refined)))});
+                        std::to_string(count_lines(r.refined))});
     }
     t.print("E4 data-related refinement (Figures 5/6)");
   }

@@ -36,6 +36,11 @@ int main() {
     std::printf("  [%s] %s\n", ok ? "ok" : "FAIL", what);
     if (!ok) ++fail;
   };
+  // Absolute anchors of the simulated profile (README quotes the 52
+  // data-access channels). The rank checks below are ordinal, so a profile
+  // that lost every read would still pass them.
+  check(dyn.channel_count() == 52, "dynamic profile has 52 channels");
+  check(dyn.sim.end_time == 315, "dynamic profile ends at cycle 315");
 
   Table t;
   t.header = {"Design", "Model", "dyn peak", "dyn hot bus", "stat peak",

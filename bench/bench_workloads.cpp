@@ -21,7 +21,7 @@ int main() {
   Specification spec = make_answering_machine();
   AccessGraph graph = build_access_graph(spec);
   ProfileResult prof = profile_spec(spec);
-  const size_t orig_lines = count_lines(print(spec));
+  const size_t orig_lines = count_lines(spec);
 
   std::printf("answering machine: %zu behaviors, %zu variables, %zu channels, "
               "%zu lines\n",
@@ -51,7 +51,7 @@ int main() {
     EquivalenceReport rep = check_equivalence(spec, r.refined);
     if (!rep.equivalent) ++fail;
     peaks[mi] = rates.max_rate();
-    lines[mi] = count_lines(print(r.refined));
+    lines[mi] = count_lines(r.refined);
     t.rows.push_back({to_string(cfg.model), fmt(peaks[mi]),
                       std::to_string(r.stats.buses),
                       std::to_string(r.stats.arbiters),

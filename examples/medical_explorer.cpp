@@ -34,7 +34,7 @@ void explore(const Specification& spec, const AccessGraph& graph,
 
   // Fan the four models over the pool: refine, static rates + cost, and a
   // measured (BusTracer) simulation per model, all in one engine call.
-  batch::SweepOptions opts;  // defaults: 100 MHz clock, lowered interpreter
+  batch::SweepOptions opts;  // defaults: 100 MHz clock, bytecode interpreter
   const batch::SweepReport swept = batch::run_sweep(
       spec, d.partition, graph, prof, batch::model_axis(), opts, pool);
 
@@ -87,7 +87,7 @@ int main(int argc, char** argv) {
   std::printf("medical system: %zu behaviors, %zu variables, %zu channels, "
               "%zu-line specification\n",
               spec.all_behaviors().size(), spec.all_vars().size(),
-              graph.data_channel_pairs(), count_lines(print(spec)));
+              graph.data_channel_pairs(), count_lines(spec));
   ProfileResult prof = profile_spec(spec);
   std::printf("profiled: %llu cycles end-to-end, %zu dynamic channels\n",
               static_cast<unsigned long long>(prof.sim.end_time),

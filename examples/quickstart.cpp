@@ -60,7 +60,7 @@ int main() {
   validate_or_throw(spec);
   std::printf("parsed '%s': %zu behaviors, %zu variables, %zu lines\n",
               spec.name.c_str(), spec.all_behaviors().size(),
-              spec.all_vars().size(), count_lines(print(spec)));
+              spec.all_vars().size(), count_lines(spec));
 
   // 2. Access graph: behaviors, variables and the channels between them.
   AccessGraph graph = build_access_graph(spec);
@@ -84,8 +84,8 @@ int main() {
   RefineResult refined = refine(part, graph, cfg);
   std::printf("\nrefined to %s: %zu lines (%zux growth), %zu memories, "
               "%zu arbiters, %zu inlined protocol sites\n",
-              to_string(cfg.model), count_lines(print(refined.refined)),
-              count_lines(print(refined.refined)) / count_lines(print(spec)),
+              to_string(cfg.model), count_lines(refined.refined),
+              count_lines(refined.refined) / count_lines(spec),
               refined.stats.memories, refined.stats.arbiters,
               refined.stats.inlined_sites);
 

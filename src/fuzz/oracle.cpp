@@ -113,19 +113,19 @@ std::string diff_sim_results(const SimResult& a, const SimResult& b) {
   return os.str();
 }
 
-// Runs `spec` once on every tier and diffs the three runs. Returns the run
-// on `kept`, recorded, for the oracles that compare or explore it, so no
-// later oracle simulates `spec` again. The other two tiers
-// stay unrecorded: in the default configuration the bytecode tier's Fifo
-// fast path is diff-tested too.
+// Runs `spec` once on every tier and diffs the three runs. Returns the tree
+// run, recorded, for the oracles that compare or explore it, so no later
+// oracle simulates `spec` again. The tree tier is the reference semantics;
+// the compiled tiers stay unrecorded, because recording moves the bytecode
+// tier off its Fifo fast path, which is the path sweeps run by default.
 SimResult check_interp_diff(const Specification& spec,
                             const std::string& oracle, OracleOutcome& out,
-                            uint64_t max_cycles, ExecTier kept) {
+                            uint64_t max_cycles) {
   const auto run = [&](ExecTier tier) {
     SimConfig sc;
     sc.exec_tier = tier;
     sc.max_cycles = max_cycles;
-    sc.record_schedule = tier == kept;
+    sc.record_schedule = tier == ExecTier::Tree;
     return Simulator(spec, sc).run();
   };
   SimResult a = run(ExecTier::Lowered);
@@ -135,12 +135,7 @@ SimResult check_interp_diff(const Specification& spec,
   if (!diff.empty()) add_issue(out, oracle, "lowered vs tree: " + diff);
   const std::string bdiff = diff_sim_results(c, a);
   if (!bdiff.empty()) add_issue(out, oracle, "bytecode vs lowered: " + bdiff);
-  switch (kept) {
-    case ExecTier::Tree: return b;
-    case ExecTier::Bytecode: return c;
-    case ExecTier::Lowered: break;
-  }
-  return a;
+  return b;
 }
 
 // -- oracle 3/8: static verifier silence -------------------------------------
@@ -236,15 +231,12 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   }
   tally("generator", out.issues.size());
 
-  // Every later comparison reuses the interp-diff runs on this tier.
-  const ExecTier kept = opts.exec_tier.value_or(default_exec_tier());
-
   size_t before = out.issues.size();
   check_roundtrip(spec, "roundtrip", out);
   tally("roundtrip", before);
   before = out.issues.size();
-  const SimResult orig_run = check_interp_diff(
-      spec, "interp-diff", out, opts.max_cycles, kept);
+  const SimResult orig_run =
+      check_interp_diff(spec, "interp-diff", out, opts.max_cycles);
   tally("interp-diff", before);
   before = out.issues.size();
   check_analysis(spec, "analysis-original", out);
@@ -285,7 +277,7 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
   tally("roundtrip-refined", before);
   before = out.issues.size();
   const SimResult refined_run = check_interp_diff(
-      refined, "interp-diff-refined", out, opts.max_cycles, kept);
+      refined, "interp-diff-refined", out, opts.max_cycles);
   tally("interp-diff-refined", before);
 
   EquivalenceOptions eo;
@@ -312,7 +304,7 @@ OracleOutcome run_oracles(const Specification& spec, const OracleConfig& cfg,
       analysis::schedules::ExploreOptions xo;
       xo.max_schedules = opts.explore_schedules;
       xo.config.max_cycles = opts.max_cycles;
-      xo.config.exec_tier = kept;
+      xo.config.exec_tier = opts.exec_tier.value_or(default_exec_tier());
       xo.compare_write_traces = eo.compare_write_traces;
       const analysis::schedules::ExploreResult orig =
           analysis::schedules::explore_from(spec, analysis::Context(spec), xo,

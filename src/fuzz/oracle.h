@@ -23,8 +23,8 @@
 //                      original exhibits too
 //
 // Each spec is simulated once per tier. equivalence compares the two
-// interp-diff runs on the kept tier (OracleOptions::exec_tier), and
-// schedule-inclusion starts both explorations from those same runs.
+// recorded interp-diff runs on the tree tier, and schedule-inclusion starts
+// both explorations from those same runs.
 //
 // A planted-bug mode (InjectedBug) mutates the refined spec the way a broken
 // refinement procedure would, to prove the oracles and the reducer are live.
@@ -97,9 +97,9 @@ struct OracleOptions {
   /// Simulation bound for every run the oracles perform.
   uint64_t max_cycles = 5'000'000;
   InjectedBug inject = InjectedBug::None;
-  /// The tier whose interp-diff runs are reused by equivalence and
-  /// schedule-inclusion (interp-diff always runs every tier regardless).
-  /// Unset = the process default tier.
+  /// The tier schedule-inclusion explores on (interp-diff always runs every
+  /// tier, and equivalence reuses its tree runs). Unset = the process
+  /// default tier.
   std::optional<ExecTier> exec_tier;
   /// Schedules per side for the schedule-inclusion oracle (0 disables it).
   /// Clean specs collapse to the baseline schedule (no racing pairs means

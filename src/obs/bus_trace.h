@@ -29,7 +29,7 @@
 // bus with traffic shows nonzero contention), grants per master, and a
 // log2-bucketed histogram of handshake latencies (start rise -> done rise).
 //
-//   Simulator sim(refined);            // lowered path (default)
+//   Simulator sim(refined);            // bytecode path (default)
 //   BusTracer tracer(refined);
 //   sim.add_slot_observer(&tracer);
 //   SimResult r = sim.run();

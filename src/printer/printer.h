@@ -3,7 +3,9 @@
 // The printed form is (a) re-parseable by the SpecLang parser — the
 // round-trip `parse(print(s))` reproduces `s` structurally, which the test
 // suite checks — and (b) the size metric of the paper's Figure 10: "number
-// of lines in the refined specification" is `count_lines(print(spec))`.
+// of lines in the refined specification" is `count_lines(spec)`, the
+// non-blank lines of `print(spec)` counted during the same walk without
+// building the text.
 #pragma once
 
 #include <string>
@@ -37,7 +39,12 @@ struct PrintOptions {
 [[nodiscard]] std::string print(const Procedure& p,
                                 const PrintOptions& opts = {});
 
-/// Number of non-empty lines in `text` — the Figure 10 size metric.
+/// Number of non-blank lines in `text` (a line holding only spaces, tabs or
+/// '\r' is blank).
 [[nodiscard]] size_t count_lines(const std::string& text);
+
+/// Number of non-blank lines in `print(spec)` — the Figure 10 size metric —
+/// counted by the printer's walk without building the text.
+[[nodiscard]] size_t count_lines(const Specification& spec);
 
 }  // namespace specsyn

@@ -142,6 +142,7 @@ TEST(ProgramCache, ContentIdenticalSpecsShareOneProgram) {
   const Specification copy = spec.clone();
   ProgramCache cache;
   SimConfig cfg;
+  cfg.exec_tier = ExecTier::Bytecode;  // the tree tier compiles nothing
   Simulator s1(spec, cfg, &cache);
   Simulator s2(copy, cfg, &cache);  // distinct object, same content
   EXPECT_EQ(cache.stats().misses, 1u);
@@ -173,6 +174,7 @@ TEST(ProgramCache, SimConfigChangeMisses) {
 TEST(ProgramCache, LruEvictionAtCapacity) {
   ProgramCache cache(/*capacity=*/2);
   SimConfig cfg;
+  cfg.exec_tier = ExecTier::Bytecode;
   const Specification s1 = testing::abc_spec(0);
   const Specification s2 = testing::abc_spec(2);
   const Specification s3 = testing::abc_spec(5);
@@ -192,6 +194,7 @@ TEST(ProgramCache, LruEvictionAtCapacity) {
 TEST(ProgramCache, CachedProgramOutlivesEvictionWhileSimulatorUsesIt) {
   ProgramCache cache(/*capacity=*/1);
   SimConfig cfg;
+  cfg.exec_tier = ExecTier::Bytecode;
   const Specification s1 = testing::abc_spec(2);
   const Specification s2 = testing::abc_spec(5);
   Simulator sim(s1, cfg, &cache);        // holds the cached program alive
@@ -242,6 +245,7 @@ TEST(ParallelEquivalence, MatchesSerialReport) {
   const RefineResult refined = refine(part, graph, rc);
 
   EquivalenceOptions serial;
+  serial.config.exec_tier = ExecTier::Bytecode;  // so the cache compiles
   EquivalenceOptions parallel = serial;
   parallel.parallel = true;
   ProgramCache cache;

@@ -1,7 +1,16 @@
 // Unit tests for the SpecLang pretty-printer.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <fstream>
+#include <sstream>
+
+#include "fuzz/generator.h"
+#include "fuzz/oracle.h"
+#include "parser/parser.h"
+#include "partition/partitioner.h"
 #include "printer/printer.h"
+#include "refine/refiner.h"
 #include "spec/builder.h"
 #include "test_util.h"
 
@@ -109,6 +118,70 @@ TEST(CountLines, MatchesPrintedSpec) {
   const std::string text = print(s);
   // Stable small spec: exact count documents the printing format.
   EXPECT_EQ(count_lines(text), 20u) << text;
+  EXPECT_EQ(count_lines(s), 20u);
+}
+
+// The walk-only counter is the Figure 10 metric; it must agree with
+// counting the printed text on every spec shape the pipeline produces.
+TEST(CountLines, SpecWalkMatchesPrintedTextOnFuzzSpecs) {
+  for (uint64_t seed = 1; seed <= 200; ++seed) {
+    fuzz::GenOptions g;
+    g.seed = seed;
+    const Specification spec = fuzz::generate_spec(g);
+    EXPECT_EQ(count_lines(spec), count_lines(print(spec))) << "seed " << seed;
+
+    // Refine under the seed's sampled config, leaves spread round-robin.
+    const fuzz::OracleConfig cfg = fuzz::sample_config(seed);
+    const AccessGraph graph = build_access_graph(spec);
+    Partition part(spec, cfg.components == 2
+                             ? Allocation::proc_plus_asic()
+                             : Allocation::asics(cfg.components));
+    size_t leaf = 0;
+    spec.top->for_each([&](const Behavior& b) {
+      if (b.is_leaf()) part.assign_behavior(b.name, leaf++ % cfg.components);
+    });
+    part.auto_assign_vars(graph);
+    RefineConfig rc;
+    rc.model = cfg.model;
+    rc.protocol = cfg.protocol;
+    rc.leaf_scheme = cfg.scheme;
+    rc.inline_protocols = cfg.inline_protocols;
+    const Specification refined = refine(part, graph, rc).refined;
+    EXPECT_EQ(count_lines(refined), count_lines(print(refined)))
+        << "seed " << seed << " refined (" << cfg.str() << ")";
+  }
+}
+
+TEST(CountLines, SpecWalkMatchesPrintedTextOnRefinedExamples) {
+  size_t files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::string(SPECSYN_SOURCE_DIR) + "/examples/specs")) {
+    if (!entry.is_regular_file() || entry.path().extension() != ".spec") {
+      continue;
+    }
+    ++files;
+    std::ifstream in(entry.path());
+    std::stringstream buf;
+    buf << in.rdbuf();
+    DiagnosticSink diags;
+    const std::optional<Specification> spec = parse_spec(buf.str(), diags);
+    ASSERT_TRUE(spec.has_value()) << entry.path() << ": " << diags.str();
+    EXPECT_EQ(count_lines(*spec), count_lines(print(*spec))) << entry.path();
+
+    const AccessGraph graph = build_access_graph(*spec);
+    const Partition part = make_ratio_partition(*spec, graph,
+                                                Allocation::proc_plus_asic())
+                               .partition;
+    for (ImplModel m : {ImplModel::Model1, ImplModel::Model2,
+                        ImplModel::Model3, ImplModel::Model4}) {
+      RefineConfig rc;
+      rc.model = m;
+      const Specification refined = refine(part, graph, rc).refined;
+      EXPECT_EQ(count_lines(refined), count_lines(print(refined)))
+          << entry.path() << " " << to_string(m);
+    }
+  }
+  EXPECT_GE(files, 4u);
 }
 
 }  // namespace

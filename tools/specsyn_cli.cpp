@@ -23,7 +23,7 @@
 //   --clock-hz HZ          nominal clock for cycle->time conversion (100e6)
 //   --vcd FILE             dump a VCD waveform of every signal
 //   --exec-tier T          execution tier: tree | lowered | bytecode
-//                          (default lowered, or $SPECSYN_EXEC_TIER)
+//                          (default bytecode, or $SPECSYN_EXEC_TIER)
 //   --sched-policy P       ready-set tie-break policy: fifo | random | replay
 //   --sched-seed N         seed for --sched-policy random
 //   --replay-witness W     replay a schedule witness ("picks:1,0,2" or
@@ -163,7 +163,7 @@ simulate options:
   --vcd FILE             dump a VCD waveform of every signal
   --exec-tier T          execution tier: tree (legacy tree-walking), lowered
                          (flattened statement plans), or bytecode (threaded
-                         register bytecode). Default lowered, overridable
+                         register bytecode). Default bytecode, overridable
                          via $SPECSYN_EXEC_TIER. Every output is
                          byte-identical across tiers.
   --sched-policy P       ready-set tie-break policy when several processes
@@ -592,7 +592,7 @@ int cmd_check(const Args& a, const Specification& spec) {
   std::printf("  signals:       %zu\n", spec.all_signals().size());
   std::printf("  procedures:    %zu\n", spec.procedures.size());
   std::printf("  statements:    %zu\n", spec.stmt_count());
-  std::printf("  lines:         %zu\n", count_lines(print(spec)));
+  std::printf("  lines:         %zu\n", count_lines(spec));
   std::printf("  data channels: %zu\n", graph.data_channel_pairs());
   std::printf("  control arcs:  %zu\n", graph.control_channels().size());
   std::printf("  sequential:    %s\n",
